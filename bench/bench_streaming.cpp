@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   for (data::Dataset& ds : data::make_all_paper_datasets(opt.seed, opt.size_scale)) {
     const data::ExperienceSet es = bench::make_experience_set(ds, opt.seed);
 
-    // (a) Windowed: adapt at each boundary, MAD threshold on the window.
+    // (a) Windowed: adapt at each boundary, POT threshold from the clean window.
     {
       const auto det = core::make_detector(
           "CND-IDS", bench::paper_detector_config(opt.seed));

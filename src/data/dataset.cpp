@@ -1,6 +1,7 @@
 #include "data/dataset.hpp"
 
 #include "tensor/assert.hpp"
+#include "tensor/check.hpp"
 
 namespace cnd::data {
 
@@ -13,15 +14,16 @@ std::size_t Dataset::n_attacks() const {
 std::size_t Dataset::n_normals() const { return y.size() - n_attacks(); }
 
 void Dataset::validate() const {
-  CND_ASSERT(y.size() == x.rows());
-  CND_ASSERT(attack_class.size() == x.rows());
+  CND_CHECK(y.size() == x.rows(), "Dataset: one label per row");
+  CND_CHECK(attack_class.size() == x.rows(), "Dataset: one attack class per row");
   for (std::size_t i = 0; i < y.size(); ++i) {
-    CND_ASSERT(y[i] == 0 || y[i] == 1);
+    CND_CHECK(y[i] == 0 || y[i] == 1, "Dataset: labels are 0 or 1");
     if (y[i] == 0) {
-      CND_ASSERT(attack_class[i] == -1);
+      CND_CHECK(attack_class[i] == -1, "Dataset: normal rows carry class -1");
     } else {
-      CND_ASSERT(attack_class[i] >= 0);
-      CND_ASSERT(static_cast<std::size_t>(attack_class[i]) < class_names.size());
+      CND_CHECK(attack_class[i] >= 0, "Dataset: attack rows carry a class");
+      CND_CHECK(static_cast<std::size_t>(attack_class[i]) < class_names.size(),
+                "Dataset: attack class has a name");
     }
   }
 }

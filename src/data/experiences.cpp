@@ -5,6 +5,7 @@
 
 #include "ml/scaler.hpp"
 #include "tensor/assert.hpp"
+#include "tensor/check.hpp"
 
 namespace cnd::data {
 
@@ -131,7 +132,8 @@ ExperienceSet prepare_experiences(const Dataset& ds, const PrepConfig& cfg) {
     const auto n_train =
         static_cast<std::size_t>(std::floor(cfg.train_frac *
                                             static_cast<double>(rows.size())));
-    CND_ASSERT(n_train >= 1 && n_train < rows.size());
+    CND_CHECK(n_train >= 1 && n_train < rows.size(),
+              "prepare_experiences: train split leaves an empty side");
 
     std::vector<std::size_t> train_rows, test_rows;
     std::vector<int> train_cls, test_cls;

@@ -4,13 +4,14 @@
 #include <cmath>
 
 #include "tensor/assert.hpp"
+#include "tensor/check.hpp"
 
 namespace cnd::eval {
 
 namespace {
 
 double median_inplace(std::vector<double>& v) {
-  CND_ASSERT(!v.empty());
+  CND_CHECK(!v.empty(), "median_inplace: empty input");
   const std::size_t mid = v.size() / 2;
   std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid), v.end());
   double m = v[mid];

@@ -20,7 +20,7 @@ class Timer {
   // Table IV reports wall-clock fit/infer overhead, so this header is a
   // sanctioned measurement surface outside src/obs.
   // cnd-det-ok(sanctioned measurement surface — timings feed bench/eval timing fields, never scores)
-  static clock::time_point now() { return clock::now(); }  // cnd-lint: allow(no-clock)
+  static clock::time_point now() { return clock::now(); }  // cnd-analyze: allow(no-clock)
   clock::time_point start_;
 };
 

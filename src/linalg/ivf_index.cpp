@@ -116,14 +116,14 @@ void IvfIndex::build_from(const Matrix& ref, const AnnConfig& cfg) {
   for (std::size_t c = 0; c < n_live; ++c) offsets_[c + 1] += offsets_[c];
 
   ids_.assign(rows_, 0);  // cnd-analyze: allow(hot-path-alloc) — build-time layout, bounded by N
-  codes_.assign(rows_ * dim_, 0.0f);  // cnd-lint: allow(no-float)  cnd-analyze: allow(hot-path-alloc) — build-time layout, bounded by N x d
+  codes_.assign(rows_ * dim_, 0.0f);  // cnd-analyze: allow(no-float, hot-path-alloc) — build-time layout, bounded by N x d
   std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
   for (std::size_t i = 0; i < rows_; ++i) {
     const std::size_t slot = cursor[remap[assign[i]]]++;
     ids_[slot] = static_cast<std::uint32_t>(i);
     kernels::cast_row_f32(ref.row(i), codes_.data() + slot * dim_);
   }
-  code_norms_.assign(rows_, 0.0f);  // cnd-lint: allow(no-float)  cnd-analyze: allow(hot-path-alloc) — build-time layout, bounded by N
+  code_norms_.assign(rows_, 0.0f);  // cnd-analyze: allow(no-float, hot-path-alloc) — build-time layout, bounded by N
   kernels::sq_norms_f32(codes_.data(), rows_, dim_, code_norms_.data());
   kernels::row_sq_norms(centroids_, 0, centroids_.rows(), cen_norms_);
 }
@@ -201,7 +201,7 @@ void IvfIndex::search_row(const Matrix& query, std::size_t i, const Matrix& ref,
   // own accumulation pattern.
   sc.qf.resize(dim_);  // cnd-analyze: allow(hot-path-alloc) — scratch warm-up, bounded by d
   kernels::cast_row_f32(qrow, sc.qf.data());
-  // cnd-lint: allow(no-float) — float32 scan epilogue (docs/ANN.md)
+  // cnd-analyze: allow(no-float) — float32 scan epilogue (docs/ANN.md)
   float qnf = 0.0f;
   kernels::sq_norms_f32(sc.qf.data(), 1, dim_, &qnf);
   sc.scan.resize(max_cluster_);  // cnd-analyze: allow(hot-path-alloc) — scratch warm-up, bounded by max cluster

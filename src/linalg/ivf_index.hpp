@@ -62,9 +62,9 @@ class IvfIndex {
     Workspace ws;                                        ///< centroid Gram.
     std::vector<double> nq;                              ///< query norms.
     std::vector<std::pair<double, std::size_t>> probes;  ///< (cen d², cen id).
-    // cnd-lint: allow(no-float) — float32 probe-scan buffers (docs/ANN.md)
+    // cnd-analyze: allow(no-float) — float32 probe-scan buffers (docs/ANN.md)
     std::vector<float> qf;    ///< query row cast to float32.
-    // cnd-lint: allow(no-float) — float32 probe-scan buffers (docs/ANN.md)
+    // cnd-analyze: allow(no-float) — float32 probe-scan buffers (docs/ANN.md)
     std::vector<float> scan;  ///< per-cluster scan output.
     std::vector<std::pair<double, std::uint32_t>> shortlist;  ///< (d², id).
   };
@@ -95,9 +95,9 @@ class IvfIndex {
   std::vector<double> cen_norms_;        ///< ||centroid||², kernels pattern.
   std::vector<std::size_t> offsets_;     ///< per-cluster ranges, size C+1.
   std::vector<std::uint32_t> ids_;       ///< concatenated member row ids.
-  // cnd-lint: allow(no-float) — float32 posting blocks (docs/ANN.md)
+  // cnd-analyze: allow(no-float) — float32 posting blocks (docs/ANN.md)
   std::vector<float> codes_;             ///< concatenated float32 vectors.
-  // cnd-lint: allow(no-float) — float32 posting blocks (docs/ANN.md)
+  // cnd-analyze: allow(no-float) — float32 posting blocks (docs/ANN.md)
   std::vector<float> code_norms_;        ///< float32 ||row||² per stored row.
 };
 

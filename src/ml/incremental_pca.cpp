@@ -5,6 +5,7 @@
 
 #include "linalg/eigen.hpp"
 #include "tensor/assert.hpp"
+#include "tensor/check.hpp"
 
 namespace cnd::ml {
 
@@ -82,7 +83,7 @@ void IncrementalPca::refresh() {
     ++k;
     if (cum >= cfg_.explained_variance) break;
   }
-  CND_ASSERT(k >= 1);
+  CND_CHECK(k >= 1, "IncrementalPca::refresh: no component kept");
 
   components_ = Matrix(cov.cols(), k);
   for (std::size_t i = 0; i < cov.cols(); ++i)

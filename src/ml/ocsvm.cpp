@@ -7,6 +7,7 @@
 #include "linalg/stats.hpp"
 #include "runtime/parallel_for.hpp"
 #include "tensor/assert.hpp"
+#include "tensor/check.hpp"
 
 namespace cnd::ml {
 
@@ -127,7 +128,7 @@ void OcSvm::fit(const Matrix& x_full) {
   std::vector<std::size_t> sv_idx;
   for (std::size_t i = 0; i < n; ++i)
     if (alpha[i] > 1e-10) sv_idx.push_back(i);
-  CND_ASSERT(!sv_idx.empty());
+  CND_CHECK(!sv_idx.empty(), "OcSvm::fit: no support vectors");
   sv_ = x.take_rows(sv_idx);
   alpha_.clear();
   for (std::size_t i : sv_idx) alpha_.push_back(alpha[i]);

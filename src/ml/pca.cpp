@@ -6,6 +6,7 @@
 #include "linalg/eigen.hpp"
 #include "linalg/stats.hpp"
 #include "tensor/assert.hpp"
+#include "tensor/check.hpp"
 
 namespace cnd::ml {
 
@@ -41,7 +42,7 @@ void Pca::fit(const Matrix& x) {
     ++k;
     if (cum >= cfg_.explained_variance) break;
   }
-  CND_ASSERT(k >= 1);
+  CND_CHECK(k >= 1, "Pca::fit: no component kept");
 
   components_ = Matrix(x.cols(), k);
   for (std::size_t i = 0; i < x.cols(); ++i)

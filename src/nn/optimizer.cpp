@@ -9,7 +9,7 @@ namespace cnd::nn {
 
 void Sgd::step(std::vector<Param> params) {
   for (auto& p : params) {
-    CND_ASSERT(p.value->same_shape(*p.grad));
+    CND_CHECK(p.value->same_shape(*p.grad), "Sgd::step: gradient shape differs from its parameter");
     CND_DCHECK_ALL_FINITE(*p.grad, "Sgd::step: non-finite gradient");
     for (std::size_t i = 0; i < p.value->rows(); ++i) {
       auto w = p.value->row(i);
@@ -38,7 +38,7 @@ void Adam::step(std::vector<Param> params) {
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
   for (std::size_t k = 0; k < params.size(); ++k) {
     auto& p = params[k];
-    CND_ASSERT(p.value->same_shape(*p.grad));
+    CND_CHECK(p.value->same_shape(*p.grad), "Adam::step: gradient shape differs from its parameter");
     CND_DCHECK_ALL_FINITE(*p.grad, "Adam::step: non-finite gradient");
     require(m_[k].same_shape(*p.value), "Adam: parameter shape changed");
     for (std::size_t i = 0; i < p.value->rows(); ++i) {

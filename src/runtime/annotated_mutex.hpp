@@ -4,7 +4,7 @@
 // std::mutex carries no thread-safety annotations, so Clang's analysis
 // cannot connect a std::lock_guard to the fields it protects. These three
 // wrappers close that gap: AnnotatedMutex is a CND_CAPABILITY the analysis
-// tracks, MutexLock is the only sanctioned way to hold one (cnd_lint's
+// tracks, MutexLock is the only sanctioned way to hold one (cnd_analyze's
 // no-naked-mutex rule bans raw std::mutex/std::lock_guard outside this
 // header), and CondVar waits through the MutexLock so the capability
 // bookkeeping survives the sleep. The wrappers add zero overhead over the
@@ -24,7 +24,7 @@
 //   while (!ready_) cv_.wait(lk);   // ready_ is CND_GUARDED_BY(mutex_)
 #pragma once
 
-#include <condition_variable>  // cnd-lint: allow(no-naked-mutex)
+#include <condition_variable>  // cnd-analyze: allow(no-naked-mutex)
 #include <mutex>
 
 #include "tensor/thread_annotations.hpp"
@@ -44,7 +44,7 @@ class CND_CAPABILITY("mutex") AnnotatedMutex {
   bool try_lock() CND_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
-  std::mutex mu_;  // cnd-lint: allow(no-naked-mutex) — the wrapper's own storage
+  std::mutex mu_;  // cnd-analyze: allow(no-naked-mutex) — the wrapper's own storage
 };
 
 /// RAII lock over an AnnotatedMutex; the capability is held for the
@@ -85,7 +85,7 @@ class CondVar {
   void notify_all() { cv_.notify_all(); }
 
  private:
-  std::condition_variable_any cv_;  // cnd-lint: allow(no-naked-mutex) — the wrapper's own storage
+  std::condition_variable_any cv_;  // cnd-analyze: allow(no-naked-mutex) — the wrapper's own storage
 };
 
 }  // namespace cnd::runtime

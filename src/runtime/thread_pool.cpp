@@ -70,7 +70,7 @@ void ThreadPool::work_on(Job& job, std::size_t lane) {
   // back into chunk assignment or arithmetic, so the determinism contract is
   // untouched. The clock is only read when observability is on.
   const bool timed = obs::enabled();
-  const auto t0 = timed ? std::chrono::steady_clock::now()  // cnd-lint: allow(no-clock) cnd-det-ok(obs-gated lane telemetry — never feeds chunk assignment or results)
+  const auto t0 = timed ? std::chrono::steady_clock::now()  // cnd-analyze: allow(no-clock) cnd-det-ok(obs-gated lane telemetry — never feeds chunk assignment or results)
                         : std::chrono::steady_clock::time_point{};
   std::size_t executed = 0;
 
@@ -92,7 +92,7 @@ void ThreadPool::work_on(Job& job, std::size_t lane) {
     obs::metrics().counter("runtime.tasks_total").add(executed);
   if (timed) {
     const double busy_ms = std::chrono::duration<double, std::milli>(
-                               // cnd-lint: allow(no-clock) cnd-det-ok(obs-gated lane telemetry — never feeds chunk assignment or results)
+                               // cnd-analyze: allow(no-clock) cnd-det-ok(obs-gated lane telemetry — never feeds chunk assignment or results)
                                std::chrono::steady_clock::now() - t0)
                                .count();
     obs::metrics().gauge("runtime.lane_busy_ms." + std::to_string(lane)).add(busy_ms);

@@ -44,8 +44,10 @@ void validate_header(const Header& h, std::size_t payload_bytes,
   require(h.version == kFlowVersion,
           "FlowRecordFile: " + path + " has unsupported format version");
   require(h.dim > 0, "FlowRecordFile: " + path + " has zero feature width");
-  const std::uint64_t need = h.count * h.dim * sizeof(float);
-  require(payload_bytes >= need,
+  // count <= payload / row_bytes is count * row_bytes <= payload without
+  // the product, which a crafted count can wrap.
+  const std::uint64_t row_bytes = std::uint64_t{h.dim} * sizeof(float);
+  require(h.count <= payload_bytes / row_bytes,
           "FlowRecordFile: " + path + " is truncated (header promises more "
           "rows than the payload holds)");
 }
@@ -87,14 +89,18 @@ FlowRecordFile::FlowRecordFile(const std::string& path) {
   // Fallback: read the whole file into an owned buffer. Same semantics,
   // no zero-copy. Also the path taken for files too small to hold a header
   // (so the error message comes from the validator, not from mmap).
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in.good())
     throw std::runtime_error("FlowRecordFile: cannot open " + path);
+  const auto file_bytes = static_cast<std::size_t>(in.tellg());
+  in.seekg(0);
   unsigned char hdr[kFlowHeaderBytes];
   in.read(reinterpret_cast<char*>(hdr), static_cast<std::streamsize>(kFlowHeaderBytes));
   require(in.gcount() == static_cast<std::streamsize>(kFlowHeaderBytes),
           "FlowRecordFile: " + path + " is too small to hold a header");
   const Header h = parse_header(hdr);
+  // Validate against the file size before sizing the buffer from the header.
+  validate_header(h, file_bytes - kFlowHeaderBytes, path);
   owned_.resize(static_cast<std::size_t>(h.count) * h.dim);
   in.read(reinterpret_cast<char*>(owned_.data()),
           static_cast<std::streamsize>(owned_.size() * sizeof(float)));

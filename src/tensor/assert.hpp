@@ -1,8 +1,9 @@
-// Always-on invariant checking for the cnd libraries.
+// Always-on argument checking for the cnd libraries.
 //
 // Preconditions on public APIs throw std::invalid_argument with a message;
-// internal invariants use CND_ASSERT, which throws std::logic_error so that
-// a violated invariant is observable in Release builds and testable.
+// internal invariants use CND_CHECK (tensor/check.hpp), which throws
+// std::logic_error so that a violated invariant is observable in Release
+// builds and testable.
 #pragma once
 
 #include <stdexcept>
@@ -23,14 +24,4 @@ inline void require(bool cond, const std::string& what) {
   if (!cond) throw std::invalid_argument(what);
 }
 
-namespace detail {
-[[noreturn]] inline void assert_fail(const char* expr, const char* file, int line) {
-  throw std::logic_error(std::string("CND_ASSERT failed: ") + expr + " at " +
-                         file + ":" + std::to_string(line));
-}
-}  // namespace detail
-
 }  // namespace cnd
-
-#define CND_ASSERT(expr) \
-  ((expr) ? static_cast<void>(0) : ::cnd::detail::assert_fail(#expr, __FILE__, __LINE__))

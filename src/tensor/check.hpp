@@ -11,23 +11,30 @@
 //    checks — that would perturb Release throughput and the BENCH_*.json
 //    record.
 //
-// Both tiers throw std::logic_error like CND_ASSERT, so a violated
-// invariant is observable and unit-testable rather than a silent abort.
+// Both tiers throw std::logic_error, so a violated invariant is observable
+// and unit-testable rather than a silent abort.
 #pragma once
 
 #include <cmath>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "tensor/assert.hpp"
 #include "tensor/matrix.hpp"
 
 namespace cnd::check {
 
-[[noreturn]] inline void fail(const char* kind, const std::string& what,
-                              const char* file, int line) {
-  throw std::logic_error(std::string(kind) + " failed: " + what + " at " + file +
-                         ":" + std::to_string(line));
+/// The failure branch of every check: one out-of-line call. `what` is a
+/// string_view so a literal message builds no std::string at the call site,
+/// which keeps always-on checks in inner loops (Matrix::operator()) cheap.
+[[noreturn, gnu::noinline, gnu::cold]] inline void fail(const char* kind,
+                                                        std::string_view what,
+                                                        const char* file,
+                                                        int line) {
+  throw std::logic_error(std::string(kind) + " failed: " + std::string(what) +
+                         " at " + file + ":" + std::to_string(line));
 }
 
 /// True when every element is finite (no NaN, no +-Inf).

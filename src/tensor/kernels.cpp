@@ -36,10 +36,10 @@ inline double madd(double a, double b, double c) { return a * b + c; }
 // of this file. Same rationale: spell the contraction out so the scan's
 // rounding pattern is one fixed choice per binary, never the unroller's.
 #if defined(__FMA__)
-// cnd-lint: allow(no-float) — the sanctioned float32 IVF scan surface
+// cnd-analyze: allow(no-float) — the sanctioned float32 IVF scan surface
 inline float maddf(float a, float b, float c) { return std::fmaf(a, b, c); }
 #else
-// cnd-lint: allow(no-float) — the sanctioned float32 IVF scan surface
+// cnd-analyze: allow(no-float) — the sanctioned float32 IVF scan surface
 inline float maddf(float a, float b, float c) { return a * b + c; }
 #endif
 
@@ -384,36 +384,36 @@ double dot_canonical(std::span<const double> a, std::span<const double> b) {
   return s;
 }
 
-// cnd-lint: allow(no-float) — the sanctioned float32 IVF scan surface
+// cnd-analyze: allow(no-float) — the sanctioned float32 IVF scan surface
 void cast_row_f32(std::span<const double> row, float* out) {
   for (std::size_t p = 0; p < row.size(); ++p)
-    // cnd-lint: allow(no-float) — narrowing cast into posting-block storage
+    // cnd-analyze: allow(no-float) — narrowing cast into posting-block storage
     out[p] = static_cast<float>(row[p]);
 }
 
-// cnd-lint: allow(no-float) — the sanctioned float32 IVF scan surface
+// cnd-analyze: allow(no-float) — the sanctioned float32 IVF scan surface
 void sq_norms_f32(const float* rows, std::size_t n, std::size_t d, float* out) {
   for (std::size_t i = 0; i < n; ++i) {
-    // cnd-lint: allow(no-float) — float32 accumulator, matches the scan
+    // cnd-analyze: allow(no-float) — float32 accumulator, matches the scan
     const float* r = rows + i * d;
-    // cnd-lint: allow(no-float) — float32 accumulator, matches the scan
+    // cnd-analyze: allow(no-float) — float32 accumulator, matches the scan
     float s = 0.0f;
     for (std::size_t p = 0; p < d; ++p) s = maddf(r[p], r[p], s);
     out[i] = s;
   }
 }
 
-// cnd-lint: allow(no-float) — the sanctioned float32 IVF scan surface
+// cnd-analyze: allow(no-float) — the sanctioned float32 IVF scan surface
 void ivf_scan_f32(const float* q, float qn, const float* rows,
-                  // cnd-lint: allow(no-float) — continuation of the decl above
+                  // cnd-analyze: allow(no-float) — continuation of the decl above
                   const float* norms, std::size_t n, std::size_t d, float* out) {
   for (std::size_t j = 0; j < n; ++j) {
-    // cnd-lint: allow(no-float) — float32 probe scan, rows are float32 blocks
+    // cnd-analyze: allow(no-float) — float32 probe scan, rows are float32 blocks
     const float* r = rows + j * d;
-    // cnd-lint: allow(no-float) — float32 accumulator, p-ascending
+    // cnd-analyze: allow(no-float) — float32 accumulator, p-ascending
     float dot = 0.0f;
     for (std::size_t p = 0; p < d; ++p) dot = maddf(q[p], r[p], dot);
-    // cnd-lint: allow(no-float) — float32 fused distance, clamped at 0
+    // cnd-analyze: allow(no-float) — float32 fused distance, clamped at 0
     const float d2 = qn + norms[j] - 2.0f * dot;
     out[j] = d2 < 0.0f ? 0.0f : d2;
   }

@@ -124,19 +124,19 @@ double dot_canonical(std::span<const double> a, std::span<const double> b);
 // identical at any thread count and across sanitizer builds.
 
 /// Cast one double row into a packed float32 row (posting-block storage).
-// cnd-lint: allow(no-float) — the sanctioned float32 IVF scan surface
+// cnd-analyze: allow(no-float) — the sanctioned float32 IVF scan surface
 void cast_row_f32(std::span<const double> row, float* out);
 
 /// out[i] = ||rows[i]||² over n packed float32 rows of width d, accumulated
 /// p-ascending in float32 (matches the scan's own accumulation pattern).
-// cnd-lint: allow(no-float) — the sanctioned float32 IVF scan surface
+// cnd-analyze: allow(no-float) — the sanctioned float32 IVF scan surface
 void sq_norms_f32(const float* rows, std::size_t n, std::size_t d, float* out);
 
 /// Fused float32 scan of one query against a packed block:
 /// out[j] = max(0, qn + norms[j] − 2·q·rows[j]), j in [0, n).
-// cnd-lint: allow(no-float) — the sanctioned float32 IVF scan surface
+// cnd-analyze: allow(no-float) — the sanctioned float32 IVF scan surface
 void ivf_scan_f32(const float* q, float qn, const float* rows,
-                  // cnd-lint: allow(no-float) — continuation of the decl above
+                  // cnd-analyze: allow(no-float) — continuation of the decl above
                   const float* norms, std::size_t n, std::size_t d, float* out);
 
 // Naive reference kernels: the canonical accumulation order written as the

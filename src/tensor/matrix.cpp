@@ -24,22 +24,22 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> init) {
 }
 
 double& Matrix::operator()(std::size_t r, std::size_t c) {
-  CND_ASSERT(r < rows_ && c < cols_);
+  CND_CHECK(r < rows_ && c < cols_, "Matrix: index out of range");
   return data_[r * cols_ + c];
 }
 
 double Matrix::operator()(std::size_t r, std::size_t c) const {
-  CND_ASSERT(r < rows_ && c < cols_);
+  CND_CHECK(r < rows_ && c < cols_, "Matrix: index out of range");
   return data_[r * cols_ + c];
 }
 
 std::span<double> Matrix::row(std::size_t r) {
-  CND_ASSERT(r < rows_);
+  CND_CHECK(r < rows_, "Matrix::row: row out of range");
   return {data_.data() + r * cols_, cols_};
 }
 
 std::span<const double> Matrix::row(std::size_t r) const {
-  CND_ASSERT(r < rows_);
+  CND_CHECK(r < rows_, "Matrix::row: row out of range");
   return {data_.data() + r * cols_, cols_};
 }
 
@@ -49,7 +49,7 @@ std::vector<double> Matrix::row_vec(std::size_t r) const {
 }
 
 std::vector<double> Matrix::col_vec(std::size_t c) const {
-  CND_ASSERT(c < cols_);
+  CND_CHECK(c < cols_, "Matrix::col_vec: column out of range");
   std::vector<double> out(rows_);
   for (std::size_t r = 0; r < rows_; ++r) out[r] = data_[r * cols_ + c];
   return out;
@@ -195,7 +195,7 @@ double frobenius_sq(const Matrix& a) {
 }
 
 double sq_dist(std::span<const double> a, std::span<const double> b) {
-  CND_ASSERT(a.size() == b.size());
+  CND_CHECK(a.size() == b.size(), "sq_dist: length mismatch");
   double s = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) {
     const double d = a[i] - b[i];
@@ -205,7 +205,7 @@ double sq_dist(std::span<const double> a, std::span<const double> b) {
 }
 
 double dot(std::span<const double> a, std::span<const double> b) {
-  CND_ASSERT(a.size() == b.size());
+  CND_CHECK(a.size() == b.size(), "dot: length mismatch");
   double s = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
   return s;

@@ -22,9 +22,8 @@ namespace cnd {
 /// algorithms are implementation-defined, so the same seed yields different
 /// streams on libstdc++ vs libc++ and every downstream table would become
 /// toolchain-dependent. tests/test_rng.cpp pins the exact first draws of
-/// each distribution; tools/cnd_lint.py (no-std-distribution) and
-/// tools/cnd_analyze (rng-confinement) keep std distributions from creeping
-/// back in anywhere else.
+/// each distribution; tools/cnd_analyze (rng-confinement) keeps std
+/// distributions from creeping back in anywhere else.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x5EED'CAFEULL) : gen_(seed) {}

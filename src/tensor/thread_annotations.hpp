@@ -12,8 +12,8 @@
 //
 // This header is dependency-free and, together with
 // runtime/annotated_mutex.hpp, sits BELOW the layer DAG: any layer
-// (including src/obs, the bottom layer) may include it. cnd_lint's layering
-// rule carries an explicit exemption for the pair.
+// (including src/obs, the bottom layer) may include it. cnd_analyze's
+// layering rule carries an explicit exemption for the pair.
 //
 // The macro set mirrors the canonical mutex.h example from the Clang
 // thread-safety docs, CND_-prefixed to stay out of other libraries' way.

@@ -88,6 +88,27 @@ TEST(FlowRecord, RejectsGarbageAndTruncation) {
   EXPECT_THROW(serve::FlowRecordFile{"no_such_file.bin"}, std::runtime_error);
 }
 
+TEST(FlowRecord, RejectsHeaderWhoseSizeProductWraps) {
+  // A bare 20-byte header claiming 2^62 rows of 4 floats: in unchecked
+  // uint64_t arithmetic 2^62 * 4 * 4 wraps to 0, which would "fit" the
+  // empty payload and open 2^62 rows with no data behind them.
+  const std::string path = "test_flow_wrap.bin";
+  {
+    const std::uint32_t magic = serve::kFlowMagic, version = serve::kFlowVersion;
+    const std::uint32_t dim = 4;
+    const std::uint64_t count = std::uint64_t{1} << 62;
+    std::FILE* fp = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(fp, nullptr);
+    std::fwrite(&magic, 4, 1, fp);
+    std::fwrite(&version, 4, 1, fp);
+    std::fwrite(&dim, 4, 1, fp);
+    std::fwrite(&count, 8, 1, fp);
+    std::fclose(fp);
+  }
+  EXPECT_THROW(serve::FlowRecordFile{path}, std::invalid_argument);
+  std::remove(path.c_str());
+}
+
 TEST(FlowRecord, WriterRejectsMismatchedWidth) {
   serve::FlowRecordWriter w("test_flow_w.bin", 4);
   Rng rng(2);

@@ -1,6 +1,6 @@
-// cnd-lint self-test corpus (known-bad).
-// cnd-lint-expect: no-banned-fn
-// cnd-lint-path: src/io/banned_fn.cpp
+// Fixture corpus (known-bad).
+// cnd-analyze-expect: no-banned-fn
+// cnd-analyze-path: src/io/banned_fn.cpp
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

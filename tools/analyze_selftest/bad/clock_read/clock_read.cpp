@@ -1,6 +1,6 @@
-// cnd-lint self-test corpus (known-bad).
-// cnd-lint-expect: no-clock
-// cnd-lint-path: src/core/clock_read.cpp
+// Fixture corpus (known-bad).
+// cnd-analyze-expect: no-clock
+// cnd-analyze-path: src/core/clock_read.cpp
 #include <chrono>
 
 namespace cnd {

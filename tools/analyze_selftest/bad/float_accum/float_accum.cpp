@@ -1,6 +1,6 @@
-// cnd-lint self-test corpus (known-bad).
-// cnd-lint-expect: no-float
-// cnd-lint-path: src/linalg/float_accum.cpp
+// Fixture corpus (known-bad).
+// cnd-analyze-expect: no-float
+// cnd-analyze-path: src/linalg/float_accum.cpp
 #include <cstddef>
 #include <vector>
 

@@ -1,6 +1,6 @@
-// cnd-lint self-test corpus (known-bad).
-// cnd-lint-expect: include-hygiene
-// cnd-lint-path: src/core/include_hygiene.cpp
+// Fixture corpus (known-bad).
+// cnd-analyze-expect: include-hygiene
+// cnd-analyze-path: src/core/include_hygiene.cpp
 #include "../tensor/matrix.hpp"
 #include <bits/stdc++.h>
 #include <tensor/rng.hpp>

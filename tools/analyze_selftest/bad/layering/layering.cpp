@@ -1,6 +1,6 @@
-// cnd-lint self-test corpus (known-bad).
-// cnd-lint-expect: layering
-// cnd-lint-path: src/tensor/layering.cpp
+// Fixture corpus (known-bad).
+// cnd-analyze-expect: layering
+// cnd-analyze-path: src/tensor/layering.cpp
 #include "nn/linear.hpp"
 #include "tensor/matrix.hpp"
 

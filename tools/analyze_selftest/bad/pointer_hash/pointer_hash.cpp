@@ -1,6 +1,6 @@
-// cnd-lint self-test corpus (known-bad).
-// cnd-lint-expect: no-pointer-hash
-// cnd-lint-path: src/serve/pointer_hash.cpp
+// Fixture corpus (known-bad).
+// cnd-analyze-expect: no-pointer-hash
+// cnd-analyze-path: src/serve/pointer_hash.cpp
 #include <cstddef>
 #include <functional>
 

@@ -1,6 +1,6 @@
-// cnd-lint self-test corpus (known-bad).
-// cnd-lint-expect: no-raw-rng
-// cnd-lint-path: src/ml/raw_rng.cpp
+// Fixture corpus (known-bad).
+// cnd-analyze-expect: rng-confinement
+// cnd-analyze-path: src/ml/raw_rng.cpp
 #include <cstdlib>
 #include <random>
 

@@ -1,6 +1,6 @@
-// cnd-lint self-test corpus (known-bad).
-// cnd-lint-expect: no-std-distribution
-// cnd-lint-path: src/ml/std_distribution.cpp
+// Fixture corpus (known-bad).
+// cnd-analyze-expect: rng-confinement
+// cnd-analyze-path: src/ml/std_distribution.cpp
 #include <random>
 
 namespace cnd {

@@ -1,5 +1,6 @@
 // cnd-analyze-path: src/ml/score.cpp
 // cnd-analyze-expect: determinism-taint
+// cnd-analyze-expect: no-clock
 // Add-a-clock-call regression: the hot scoring root reaches a wall-clock
 // read, so repeated runs produce different bytes.
 namespace cnd::ml {

@@ -1,5 +1,6 @@
 // cnd-analyze-path: src/eval/summary.cpp
 // cnd-analyze-expect: determinism-taint
+// cnd-analyze-expect: no-unordered-iter
 // Iterating an unordered container in an output root: the row order is
 // unspecified, so the written bytes are not stable.
 namespace cnd::eval {

@@ -1,7 +1,8 @@
-// cnd-lint self-test corpus (known-bad): the classic time-seeded RNG trips
+// Fixture corpus (known-bad): the classic time-seeded RNG trips
 // both the RNG rule and the clock rule.
-// cnd-lint-expect: no-raw-rng, no-clock
-// cnd-lint-path: src/data/time_seeded.cpp
+// cnd-analyze-expect: rng-confinement
+// cnd-analyze-expect: no-clock
+// cnd-analyze-path: src/data/time_seeded.cpp
 #include <cstdlib>
 #include <ctime>
 

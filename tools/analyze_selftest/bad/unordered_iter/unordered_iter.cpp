@@ -1,6 +1,6 @@
-// cnd-lint self-test corpus (known-bad).
-// cnd-lint-expect: no-unordered-iter
-// cnd-lint-path: src/io/unordered_iter.cpp
+// Fixture corpus (known-bad).
+// cnd-analyze-expect: no-unordered-iter
+// cnd-analyze-path: src/io/unordered_iter.cpp
 #include <string>
 #include <unordered_map>
 #include <vector>

@@ -1,3 +1,4 @@
+// cnd-analyze-path: src/core/annotated_locking.cpp
 // Locking through the annotated wrappers: the sanctioned idiom, plus the
 // escape hatch for a vetted interop site (e.g. handing a native handle to a
 // third-party API).
@@ -16,7 +17,7 @@ struct Tally {
   }
 };
 
-// cnd-lint: allow(no-naked-mutex) — vetted interop: external API wants the raw type
+// cnd-analyze: allow(no-naked-mutex) — vetted interop: external API wants the raw type
 using NativeMutex = std::mutex;
 
 }  // namespace cnd::core

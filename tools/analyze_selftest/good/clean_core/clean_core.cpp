@@ -1,5 +1,5 @@
-// cnd-lint self-test corpus: ordinary core-layer code that must lint clean.
-// cnd-lint-path: src/core/clean_core.cpp
+// Fixture corpus: ordinary core-layer code that must lint clean.
+// cnd-analyze-path: src/core/clean_core.cpp
 #include "tensor/matrix.hpp"
 #include "tensor/rng.hpp"
 #include "linalg/distance.hpp"

@@ -1,5 +1,5 @@
-// cnd-lint self-test corpus: src/obs is the sanctioned home for clock reads.
-// cnd-lint-path: src/obs/obs_clock.cpp
+// Fixture corpus: src/obs is the sanctioned home for clock reads.
+// cnd-analyze-path: src/obs/obs_clock.cpp
 #include <chrono>
 
 namespace cnd::obs {

@@ -1,7 +1,7 @@
-// cnd-lint self-test corpus: the documented seed plumbing may own a raw
+// Fixture corpus: the documented seed plumbing may own a raw
 // engine — this path is the one exemption for no-raw-rng and
 // no-std-distribution.
-// cnd-lint-path: src/tensor/rng.hpp
+// cnd-analyze-path: src/tensor/rng.hpp
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,5 @@
-// cnd-lint self-test corpus (known-good).
-// cnd-lint-path: src/serve/stable_id_hash.cpp
+// Fixture corpus (known-good).
+// cnd-analyze-path: src/serve/stable_id_hash.cpp
 #include <cstddef>
 #include <cstdint>
 #include <functional>

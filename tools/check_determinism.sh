@@ -59,9 +59,9 @@
 set -euo pipefail
 
 # Every registered detector name in core::make_detector (detector_factory.cpp).
-# tools/cnd_lint.py's registry-coverage rule fails the lint build if a
-# detector is added to the factory without being listed here, so this script
-# can never silently fall behind the registry.
+# cnd_analyze's registry-coverage rule fails the tree scan if a detector is
+# added to the factory without being listed here, so this script can never
+# silently fall behind the registry.
 DETECTORS=(
   "CND-IDS"
   "Adaptive"
@@ -78,7 +78,7 @@ DETECTORS=(
   "OC-SVM"
 )
 
-# Every kernel case bench_micro_substrate --dump-kernels emits. The lint
+# Every kernel case bench_micro_substrate --dump-kernels emits. cnd_analyze's
 # registry-coverage rule cross-checks this list against the bench source, so
 # a new kernel case cannot ship without the sweep below covering it.
 KERNELS=(

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Structural validator for the SARIF 2.1.0 files cnd_analyze and cnd_lint
-emit (docs/STATIC_ANALYSIS.md).
+"""Structural validator for the SARIF 2.1.0 files cnd_analyze emits
+(docs/STATIC_ANALYSIS.md).
 
 Stdlib-only on purpose: CI and the ctest `lint` label run it with a bare
 python3, no jsonschema install. It checks the subset of the SARIF 2.1.0
-schema the two emitters use — the fields GitHub code scanning actually
+schema the emitter uses — the fields GitHub code scanning actually
 requires to render a finding — so a malformed writer fails the selftests
 here instead of silently uploading an empty report.
 

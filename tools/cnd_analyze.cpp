@@ -1,24 +1,24 @@
-// cnd_analyze — whole-program contract analyzer for the cnd tree.
+// cnd_analyze — the static checker for the cnd tree's determinism,
+// layering, and serving contracts (docs/STATIC_ANALYSIS.md).
 //
-// cnd_lint.py checks what a single line looks like; this tool checks what a
-// call chain can *reach*. It tokenizes every first-party translation unit
-// named in compile_commands.json (plus headers), extracts function
-// definitions with qualified names using a pragmatic C++ heuristic parser
-// (no libclang), links call sites to definitions by qualified-suffix name
-// matching, and runs three reachability checks on the resulting approximate
-// call graph:
+// It tokenizes every source file under src/, tests/, bench/, tools/, and
+// examples/ (plus any other compile_commands.json translation unit inside
+// the root) with its own lexer — no libclang — and runs two kinds of rule.
+//
+// Call-graph rules. Function definitions in src/ are extracted with
+// qualified names by a pragmatic C++ heuristic parser, call sites are linked
+// to definitions by qualified-suffix name matching, and seven checks run on
+// the resulting approximate call graph:
 //
 //   hot-path-alloc       functions annotated `// cnd-hot` must not
 //                        transitively reach heap allocation (operator new,
 //                        make_unique/make_shared, malloc family, growing
 //                        container calls) except through functions annotated
 //                        `// cnd-alloc-ok(<reason>)`.
-//   layering-transitive  the layer DAG from cnd_lint's include rule,
-//                        re-checked edge-by-edge on the call graph, so a
-//                        legal include cannot smuggle an illegal call.
-//   rng-confinement      std distributions, raw engine types, and raw
-//                        engine draws are errors outside src/tensor/rng.cpp
-//                        (the portable-stream home, DESIGN.md §4).
+//   layering             src/<layer> files include, and make qualified calls
+//                        into, only layers below them in the DAG of
+//                        src/CMakeLists.txt — so a forward declaration cannot
+//                        smuggle an illegal call past a legal include list.
 //   wait-free            functions annotated `// cnd-wait-free` (the
 //                        admission path and the shard-worker score path)
 //                        must not transitively reach mutex acquisition,
@@ -49,14 +49,23 @@
 //                        batch mid-stream — except through
 //                        `// cnd-throw-ok(<reason>)` barriers.
 //
+// Tree-wide rules ban a construct in every scanned file, reachable or not:
+// rng-confinement (std distributions, raw engines, std::rand / srand and
+// raw engine draws outside src/tensor/rng.{hpp,cpp}, the portable-stream
+// home of DESIGN.md §4), no-clock (outside src/obs), no-unordered-iter
+// (range-for), no-pointer-hash, no-float (bit-exactness layers),
+// no-banned-fn, no-naked-mutex, include-hygiene, and registry-coverage
+// (tools/check_determinism.sh names every registered detector and kernel
+// dump case). The clock, pointer-hash, and unordered-container matchers are
+// the ones determinism-taint uses.
+//
 // Findings print as `file:line: rule: message`, one per line, to stdout.
-// A finding on a specific line can be waived with a trailing
-// `// cnd-analyze: allow(rule)` comment, mirroring cnd_lint's escape hatch.
-// `--sarif <file>` additionally writes the findings as SARIF 2.1.0 for CI
-// upload; `--rule=<name>` restricts the scan to one rule; `--json` appends a
-// one-line machine-readable summary. Exit status: 0 clean, 1 findings (or
-// self-test mismatch), 2 usage/IO error. See docs/STATIC_ANALYSIS.md for
-// the annotation language and the limits of the heuristics.
+// Any finding can be waived with a `// cnd-analyze: allow(rule[, rule])`
+// comment on its line or the line above. `--sarif <file>` additionally
+// writes the findings as SARIF 2.1.0 for CI upload; `--rule=<name>` restricts
+// the scan to one rule; `--json` appends a one-line machine-readable
+// summary. Exit status: 0 clean, 1 findings (or self-test mismatch), 2
+// usage/IO error. `--help` lists the rules.
 //
 // Usage:
 //   cnd_analyze --compile-commands build/compile_commands.json --root .
@@ -71,6 +80,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 namespace {
@@ -115,8 +125,22 @@ struct Annotations {
   std::map<int, std::string> throw_ok_lines;     // `cnd-throw-ok(reason)`
   std::map<int, std::string> snapshot_skips;     // `cnd-snapshot: skip(r)`
   std::map<int, std::set<std::string>> allows;   // `cnd-analyze: allow(r)`
-  std::string fixture_path;                      // `cnd-analyze-path: p`
-  std::set<std::string> expects;                 // `cnd-analyze-expect: r`
+};
+
+/// One `#include` directive: its target as written, between `<>` or `""`.
+struct Include {
+  std::string target;
+  bool angled = false;
+  int line = 0;
+};
+
+struct FileInfo {
+  std::string vpath;  // repo-relative path used for layer / rule decisions
+  std::string text;   // raw contents (registry-coverage reads these)
+  Annotations ann;
+  std::vector<Tok> toks;          // code tokens: what the parser sees
+  std::vector<Tok> pp;            // preprocessor-directive tokens
+  std::vector<Include> includes;  // `#include` targets
 };
 
 bool ident_char(char c) {
@@ -192,25 +216,26 @@ void scan_comment(std::string_view text, int line, Annotations& ann) {
         if (!trim(rule).empty()) ann.allows[line].insert(trim(rule));
     }
   }
-  if ((at = text.find("cnd-analyze-path:")) != std::string_view::npos)
-    ann.fixture_path = trim(text.substr(at + 17));
-  if ((at = text.find("cnd-analyze-expect:")) != std::string_view::npos) {
-    const std::string rule = trim(text.substr(at + 19));
-    if (!rule.empty()) ann.expects.insert(rule);
-  }
 }
 
 /// Tokenize one C++ source file. Comments feed the annotation maps and are
 /// dropped; string/char literal *contents* are dropped (a bare Str token
-/// remains); preprocessor lines are skipped entirely (with continuations).
-void lex(const std::string& src, std::vector<Tok>& toks, Annotations& ann) {
+/// remains). Preprocessor directives (with continuations) are tokenized into
+/// `fi.pp`, out of the parser's sight, and `#include` targets are recorded.
+void lex(FileInfo& fi) {
+  const std::string& src = fi.text;
   const std::size_t n = src.size();
   std::size_t i = 0;
   int line = 1;
-  bool line_start = true;  // only whitespace seen since last newline
+  bool line_start = true;              // only whitespace since last newline
+  std::vector<Tok>* out = &fi.toks;    // &fi.pp inside a directive
 
   auto peek = [&](std::size_t k) -> char {
     return i + k < n ? src[i + k] : '\0';
+  };
+  auto skip_blanks = [&](std::size_t j) {
+    while (j < n && (src[j] == ' ' || src[j] == '\t')) ++j;
+    return j;
   };
 
   while (i < n) {
@@ -219,21 +244,34 @@ void lex(const std::string& src, std::vector<Tok>& toks, Annotations& ann) {
       ++line;
       ++i;
       line_start = true;
+      out = &fi.toks;
+      continue;
+    }
+    if (c == '\\' && peek(1) == '\n') {  // line splice: the line goes on
+      ++line;
+      i += 2;
       continue;
     }
     if (c == ' ' || c == '\t' || c == '\r' || c == '\f' || c == '\v') {
       ++i;
       continue;
     }
-    if (c == '#' && line_start) {  // preprocessor line (+ continuations)
-      while (i < n) {
-        if (src[i] == '\\' && peek(1) == '\n') {
-          i += 2;
-          ++line;
-          continue;
+    if (c == '#' && line_start) {
+      out = &fi.pp;
+      line_start = false;
+      ++i;
+      std::size_t j = skip_blanks(i);
+      if (src.compare(j, 7, "include") == 0) {
+        j = skip_blanks(j + 7);
+        const char close = j < n && src[j] == '<' ? '>' : '"';
+        if (j < n && (src[j] == '<' || src[j] == '"')) {
+          const std::size_t end = src.find_first_of(std::string{close, '\n'}, j + 1);
+          if (end != std::string::npos && src[end] == close) {
+            fi.includes.push_back(
+                {src.substr(j + 1, end - j - 1), close == '>', line});
+            i = end + 1;
+          }
         }
-        if (src[i] == '\n') break;
-        ++i;
       }
       continue;
     }
@@ -241,7 +279,8 @@ void lex(const std::string& src, std::vector<Tok>& toks, Annotations& ann) {
     if (c == '/' && peek(1) == '/') {
       const std::size_t eol = src.find('\n', i);
       const std::size_t end = eol == std::string::npos ? n : eol;
-      scan_comment(std::string_view(src).substr(i + 2, end - i - 2), line, ann);
+      scan_comment(std::string_view(src).substr(i + 2, end - i - 2), line,
+                   fi.ann);
       i = end;
       continue;
     }
@@ -253,7 +292,7 @@ void lex(const std::string& src, std::vector<Tok>& toks, Annotations& ann) {
         ++j;
       }
       scan_comment(std::string_view(src).substr(i + 2, j - i - 2), start_line,
-                   ann);
+                   fi.ann);
       i = j + 2 > n ? n : j + 2;
       continue;
     }
@@ -266,25 +305,29 @@ void lex(const std::string& src, std::vector<Tok>& toks, Annotations& ann) {
       const std::size_t stop = end == std::string::npos ? n : end + close.size();
       for (std::size_t j = i; j < stop; ++j)
         if (src[j] == '\n') ++line;
-      toks.push_back({Tk::Str, "", line});
+      out->push_back({Tk::Str, "", line});
       i = stop;
       continue;
     }
     if (c == '"' || c == '\'') {
+      // An unterminated literal (an apostrophe in `#error don't`) ends at
+      // the newline instead of swallowing the file.
       std::size_t j = i + 1;
-      while (j < n && src[j] != c) {
-        if (src[j] == '\\') ++j;
-        if (src[j] == '\n') ++line;  // unterminated; stay sane
+      while (j < n && src[j] != c && src[j] != '\n') {
+        if (src[j] == '\\' && j + 1 < n) {
+          if (src[j + 1] == '\n') ++line;
+          ++j;
+        }
         ++j;
       }
-      toks.push_back({Tk::Str, "", line});
-      i = j + 1 > n ? n : j + 1;
+      out->push_back({Tk::Str, "", line});
+      i = j < n && src[j] == c ? j + 1 : j;
       continue;
     }
     if (ident_char(c) && !(c >= '0' && c <= '9')) {
       std::size_t j = i;
       while (j < n && ident_char(src[j])) ++j;
-      toks.push_back({Tk::Ident, src.substr(i, j - i), line});
+      out->push_back({Tk::Ident, src.substr(i, j - i), line});
       i = j;
       continue;
     }
@@ -296,7 +339,7 @@ void lex(const std::string& src, std::vector<Tok>& toks, Annotations& ann) {
                         (src[j - 1] == 'e' || src[j - 1] == 'E' ||
                          src[j - 1] == 'p' || src[j - 1] == 'P'))))
         ++j;
-      toks.push_back({Tk::Number, src.substr(i, j - i), line});
+      out->push_back({Tk::Number, src.substr(i, j - i), line});
       i = j;
       continue;
     }
@@ -304,16 +347,16 @@ void lex(const std::string& src, std::vector<Tok>& toks, Annotations& ann) {
     // walks qualified names and member accesses); everything else is one
     // character so bracket/angle counting stays simple.
     if (c == ':' && peek(1) == ':') {
-      toks.push_back({Tk::Punct, "::", line});
+      out->push_back({Tk::Punct, "::", line});
       i += 2;
       continue;
     }
     if (c == '-' && peek(1) == '>') {
-      toks.push_back({Tk::Punct, "->", line});
+      out->push_back({Tk::Punct, "->", line});
       i += 2;
       continue;
     }
-    toks.push_back({Tk::Punct, std::string(1, c), line});
+    out->push_back({Tk::Punct, std::string(1, c), line});
     ++i;
   }
 }
@@ -343,9 +386,9 @@ struct BlockSite {
 };
 
 /// A site that can unwind: a `throw` expression or a `require()` precondition
-/// check (which throws std::invalid_argument on failure). CND_ASSERT /
+/// check (which throws std::invalid_argument on failure). CND_CHECK /
 /// CND_DCHECK are macros and stay invisible to the token stream — by design:
-/// dchecks vanish in Release, and CND_ASSERT marks programmer errors, not
+/// dchecks vanish in Release, and CND_CHECK marks programmer errors, not
 /// data-dependent batch aborts.
 struct ThrowSite {
   std::string what;
@@ -414,12 +457,6 @@ struct ClassInfo {
   std::vector<MemberVar> members;
 };
 
-struct FileInfo {
-  std::string vpath;  // repo-relative path used for layer / rule decisions
-  Annotations ann;
-  std::vector<Tok> toks;
-};
-
 struct Model {
   std::vector<FileInfo> files;
   std::vector<FuncDef> defs;
@@ -482,13 +519,60 @@ const std::set<std::string>& alloc_idents() {
   return a;
 }
 
-/// C-level wall-clock reads (determinism-taint sources). `X::now()` reads
-/// are matched structurally instead — any qualifier ending in "clock".
-const std::set<std::string>& clock_fn_names() {
-  static const std::set<std::string> c = {"clock_gettime", "gettimeofday",
-                                          "timespec_get", "ftime",
-                                          "__rdtsc", "_rdtsc"};
-  return c;
+// Matchers for the nondeterminism sources that both determinism-taint (on
+// reachable code) and the tree-wide bans (everywhere) look for. Each takes
+// a token stream and an index and describes the source found there, or
+// returns "" when there is none.
+
+/// A wall-clock read: `X::now` where X ends in "clock" in any case (so
+/// aliases like `using clock = steady_clock` count), the C clock calls,
+/// `time()` with no or a null argument, and `clock()`.
+std::string clock_read(const std::vector<Tok>& t, std::size_t i) {
+  const std::string& s = t[i].text;
+  const auto at = [&](std::size_t k, std::string_view v) {
+    return i + k < t.size() && t[i + k].text == v;
+  };
+  if (s == "now" && i >= 2 && t[i - 1].text == "::" &&
+      t[i - 2].kind == Tk::Ident) {
+    std::string tail = t[i - 2].text;
+    tail = tail.substr(tail.size() >= 5 ? tail.size() - 5 : 0);
+    for (char& ch : tail) ch = ch >= 'A' && ch <= 'Z' ? char(ch + 32) : ch;
+    if (tail == "clock") return "wall-clock read '" + t[i - 2].text + "::now()'";
+    return {};
+  }
+  if (t[i].kind != Tk::Ident || !at(1, "(")) return {};
+  static const std::set<std::string> c_clocks = {
+      "clock_gettime", "gettimeofday", "timespec_get", "ftime", "__rdtsc",
+      "_rdtsc"};
+  const bool no_arg = at(2, ")");
+  const bool null_arg = at(3, ")") && (at(2, "nullptr") || at(2, "NULL") ||
+                                       at(2, "0"));
+  if (c_clocks.count(s) || (s == "clock" && no_arg) ||
+      (s == "time" && (no_arg || null_arg)))
+    return "wall-clock read '" + s + "()'";
+  return {};
+}
+
+/// `hash<…*…>`: std::hash over a pointer type, spelled with or without
+/// `std::` (an explicit hasher of a pointer-keyed container included).
+std::string pointer_hash(const std::vector<Tok>& t, std::size_t i) {
+  if (t[i].text != "hash" || i + 1 >= t.size() || t[i + 1].text != "<")
+    return {};
+  int depth = 0;
+  for (std::size_t p = i + 1; p < t.size(); ++p) {
+    const std::string& a = t[p].text;
+    if (a == "<") ++depth;
+    else if (a == ">" && --depth == 0) break;
+    else if (a == "*") return "'std::hash' over a pointer type (addresses vary per run)";
+    else if (a == ";" || a == "{" || a == "}") break;
+  }
+  return {};
+}
+
+/// An unordered container type (std, absl, and boost spellings alike):
+/// its iteration order is unspecified.
+bool is_unordered(const std::string& name) {
+  return name.rfind("unordered_", 0) == 0;
 }
 
 /// Integer targets that make a `reinterpret_cast` a pointer-to-integer
@@ -500,16 +584,6 @@ const std::set<std::string>& int_type_names() {
       "uint16_t",  "int16_t",  "unsigned", "int",       "long",
       "short"};
   return t;
-}
-
-/// Containers whose iteration order is unspecified (determinism-taint
-/// sources). Any appearance in a det-rooted call tree is flagged — a
-/// token-level scan cannot prove the container is never iterated.
-const std::set<std::string>& unordered_container_names() {
-  static const std::set<std::string> u = {
-      "unordered_map", "unordered_set", "unordered_multimap",
-      "unordered_multiset", "unordered_flat_map", "unordered_flat_set"};
-  return u;
 }
 
 // ---------------------------------------------------------------------------
@@ -1069,19 +1143,16 @@ class Parser {
     }
     // Determinism-taint sources. A `X::now()` read only taints when X looks
     // like a clock; `Timer::now()`-style wrappers are followed as ordinary
-    // calls instead, so the taint is reported inside the wrapper.
-    if (t.text == "now" && is(i_ + 1, "(") && i_ >= 2 &&
-        at(i_ - 1).text == "::" && at(i_ - 2).kind == Tk::Ident) {
-      const std::string& q = at(i_ - 2).text;
-      std::string tail = q.size() >= 5 ? q.substr(q.size() - 5) : q;
-      for (char& ch : tail) ch = ch >= 'A' && ch <= 'Z' ? char(ch + 32) : ch;
-      if (tail == "clock") {
-        def.taints.push_back({"wall-clock read '" + q + "::now()'", t.line});
-        return;
-      }
-    }
-    if (clock_fn_names().count(t.text) && is(i_ + 1, "(")) {
-      def.taints.push_back({"wall-clock read '" + t.text + "()'", t.line});
+    // calls instead, so the taint is reported inside the wrapper. Any
+    // appearance of an unordered container type is flagged — a token-level
+    // scan cannot prove the container is never iterated.
+    std::string taint = clock_read(toks(), i_);
+    if (taint.empty()) taint = pointer_hash(toks(), i_);
+    if (taint.empty() && is_unordered(t.text))
+      taint = "unordered container '" + t.text +
+              "' (iteration order is unspecified)";
+    if (!taint.empty()) {
+      def.taints.push_back({taint, t.line});
       return;
     }
     if (t.text == "get_id" && is(i_ + 1, "(") && i_ >= 1 &&
@@ -1109,28 +1180,6 @@ class Parser {
         def.taints.push_back(
             {"pointer-to-integer 'reinterpret_cast' (addresses vary per run)",
              t.line});
-      return;
-    }
-    if (t.text == "hash" && is(i_ + 1, "<") && i_ >= 1 &&
-        at(i_ - 1).text == "::") {
-      bool has_ptr = false;
-      int ad = 0;
-      for (std::size_t p = i_ + 1; p < n_; ++p) {
-        const Tok& a = at(p);
-        if (a.text == "<") ++ad;
-        else if (a.text == ">" && --ad == 0) break;
-        else if (a.text == "*") has_ptr = true;
-      }
-      if (has_ptr)
-        def.taints.push_back(
-            {"'std::hash' over a pointer type (addresses vary per run)",
-             t.line});
-      return;
-    }
-    if (unordered_container_names().count(t.text)) {
-      def.taints.push_back(
-          {"unordered container '" + t.text +
-           "' (iteration order is unspecified)", t.line});
       return;
     }
     if (t.text == "new") {
@@ -1186,30 +1235,22 @@ class Parser {
 // Checks
 // ---------------------------------------------------------------------------
 
+/// `// cnd-analyze: allow(rule)` on the finding's line or the line above.
 bool line_allowed(const Model& m, int file, int line, const std::string& rule) {
   const auto& allows = m.files[static_cast<std::size_t>(file)].ann.allows;
-  auto it = allows.find(line);
-  return it != allows.end() && it->second.count(rule) > 0;
+  for (const int l : {line, line - 1}) {
+    auto it = allows.find(l);
+    if (it != allows.end() && it->second.count(rule) > 0) return true;
+  }
+  return false;
 }
 
 const std::string& vpath_of(const Model& m, int file) {
   return m.files[static_cast<std::size_t>(file)].vpath;
 }
 
-/// Layer of a repo-relative path, or "" when the file is outside the layer
-/// DAG. Mirrors tools/cnd_lint.py (LAYER_DEPS) — keep the two in sync.
-std::string layer_of(const std::string& vpath) {
-  if (vpath.rfind("src/", 0) != 0) return {};
-  const std::size_t slash = vpath.find('/', 4);
-  if (slash == std::string::npos) return {};
-  static const std::set<std::string> layers = {
-      "obs",  "runtime", "tensor", "linalg",    "nn",
-      "ml",   "data",    "scenario", "eval",    "core",
-      "io",   "baselines", "serve"};
-  const std::string layer = vpath.substr(4, slash - 4);
-  return layers.count(layer) ? layer : std::string{};
-}
-
+/// The layer DAG, mirroring the target graph in src/CMakeLists.txt: a file
+/// in src/<layer>/ may depend on its own layer and the layers listed here.
 const std::map<std::string, std::set<std::string>>& layer_deps() {
   static const std::map<std::string, std::set<std::string>> deps = {
       {"obs", {}},
@@ -1236,11 +1277,22 @@ const std::map<std::string, std::set<std::string>>& layer_deps() {
   return deps;
 }
 
-/// cnd_factory spans core+baselines by design (src/CMakeLists.txt).
-bool layering_extra_ok(const std::string& vpath, const std::string& callee) {
-  return callee == "baselines" &&
-         (vpath == "src/core/detector_factory.cpp" ||
-          vpath == "src/core/detector_factory.hpp");
+/// Layer of a repo-relative path, or "" when the file is outside the DAG.
+std::string layer_of(const std::string& vpath) {
+  if (vpath.rfind("src/", 0) != 0) return {};
+  const std::size_t slash = vpath.find('/', 4);
+  if (slash == std::string::npos) return {};
+  const std::string layer = vpath.substr(4, slash - 4);
+  return layer_deps().count(layer) ? layer : std::string{};
+}
+
+/// May code at `vpath` (in layer `from`) depend on layer `to`? cnd_factory
+/// spans core+baselines by design (src/CMakeLists.txt).
+bool layer_allows(const std::string& vpath, const std::string& from,
+                  const std::string& to) {
+  return to == from || layer_deps().at(from).count(to) > 0 ||
+         (to == "baselines" && (vpath == "src/core/detector_factory.cpp" ||
+                                vpath == "src/core/detector_factory.hpp"));
 }
 
 void check_hot_paths(const Model& m, std::vector<Finding>& out) {
@@ -1482,21 +1534,40 @@ void check_lock_order(const Model& m, std::vector<Finding>& out) {
   }
 }
 
+/// layering: every quoted first-party include and every qualified call edge
+/// from src/<layer> lands in a layer the DAG allows. The two concurrency
+/// headers below the DAG — dependency-free, guarding src/obs's own
+/// registries — are includable from any layer.
 void check_layering(const Model& m, std::vector<Finding>& out) {
-  const std::string rule = "layering-transitive";
+  const std::string rule = "layering";
+  static const std::set<std::string> neutral = {
+      "tensor/thread_annotations.hpp", "runtime/annotated_mutex.hpp"};
+  for (std::size_t f = 0; f < m.files.size(); ++f) {
+    const std::string& vpath = m.files[f].vpath;
+    const std::string from = layer_of(vpath);
+    if (from.empty()) continue;
+    for (const Include& inc : m.files[f].includes) {
+      const std::string to = layer_of("src/" + inc.target);
+      if (inc.angled || neutral.count(inc.target) || to.empty() ||
+          layer_allows(vpath, from, to))
+        continue;
+      if (line_allowed(m, static_cast<int>(f), inc.line, rule)) continue;
+      out.push_back({vpath, inc.line, rule,
+                     "src/" + from + " must not include from src/" + to +
+                         " (layer order: src/CMakeLists.txt)"});
+    }
+  }
   std::set<std::tuple<std::string, int, std::string>> reported;
   for (const FuncDef& d : m.defs) {
     const std::string caller_layer = layer_of(vpath_of(m, d.file));
     if (caller_layer.empty()) continue;
-    const std::set<std::string>& allowed = layer_deps().at(caller_layer);
     for (const CallSite& c : d.calls) {
       // Unqualified single-name calls (`x.size()`, a local's `operator()`,
       // an ADL call) match any definition with that terminal name — pure
-      // noise at layer granularity. Objects or functions of a cross-layer
-      // type cannot appear without an illegal include, which cnd_lint's
-      // include rule already catches; the call-graph check earns its keep
-      // on qualified calls, including those through forward declarations
-      // that the include rule cannot see.
+      // noise at layer granularity. An object of a cross-layer type cannot
+      // appear without an illegal include, which the include half above
+      // catches; this half earns its keep on qualified calls, including
+      // those through forward declarations no include list shows.
       if (c.name.size() < 2) continue;
       const auto cands = m.candidates(c);
       if (cands.empty()) continue;
@@ -1507,10 +1578,8 @@ void check_layering(const Model& m, std::vector<Finding>& out) {
       for (std::size_t cand : cands) {
         const std::string callee_layer =
             layer_of(vpath_of(m, m.defs[cand].file));
-        const bool ok = callee_layer.empty() || callee_layer == caller_layer ||
-                        allowed.count(callee_layer) > 0 ||
-                        layering_extra_ok(vpath_of(m, d.file), callee_layer);
-        if (ok) {
+        if (callee_layer.empty() ||
+            layer_allows(vpath_of(m, d.file), caller_layer, callee_layer)) {
           all_bad = false;
           break;
         }
@@ -1528,45 +1597,240 @@ void check_layering(const Model& m, std::vector<Finding>& out) {
   }
 }
 
-void check_rng_confinement(const Model& m, std::vector<Finding>& out) {
-  const std::string rule = "rng-confinement";
-  // Names assembled from pieces so this tool's own source stays clean under
-  // its own scan and under cnd_lint's regexes.
-  static const std::string kDistSuffix = std::string("_distri") + "bution";
-  static const std::set<std::string> engines = {
-      std::string("mt19") + "937",       std::string("mt19") + "937_64",
-      std::string("minstd_") + "rand",   std::string("minstd_") + "rand0",
-      std::string("ranlux") + "24",      std::string("ranlux") + "48",
-      std::string("ranlux") + "24_base", std::string("ranlux") + "48_base",
-      std::string("knuth") + "_b",       std::string("default_random_") + "engine",
-      std::string("random_") + "device"};
+/// Both token streams of a file: code, then preprocessor directives.
+template <class Fn>
+void for_each_token(const FileInfo& fi, Fn&& fn) {
+  for (const std::vector<Tok>* t : {&fi.toks, &fi.pp})
+    for (std::size_t i = 0; i < t->size(); ++i) fn(*t, i);
+}
+
+/// A raw randomness source: a std distribution adapter, a raw engine type,
+/// `std::rand` / `srand`, or a draw straight from `.engine()()`.
+std::string raw_rng(const std::vector<Tok>& t, std::size_t i) {
+  static const std::string kDist = "_distribution";
+  const std::string& s = t[i].text;
+  const auto at = [&](std::size_t k, std::string_view v) {
+    return i + k < t.size() && t[i + k].text == v;
+  };
+  if (s.size() > kDist.size() &&
+      s.compare(s.size() - kDist.size(), kDist.size(), kDist) == 0)
+    return "std distribution '" + s + "'";
+  if (s.rfind("mt19937", 0) == 0 || s.rfind("minstd_rand", 0) == 0 ||
+      s.rfind("ranlux", 0) == 0 || s == "knuth_b" ||
+      s == "default_random_engine" || s == "random_device")
+    return "raw RNG engine '" + s + "'";
+  if ((s == "rand" && i >= 2 && t[i - 1].text == "::" &&
+       t[i - 2].text == "std") ||
+      (s == "srand" && at(1, "(")))
+    return "C RNG '" + s + "' (time-seeded, unportable stream)";
+  if (s == "engine" && i >= 1 &&
+      (t[i - 1].text == "." || t[i - 1].text == "->") && at(1, "(") &&
+      at(2, ")") && at(3, "("))
+    return "raw engine draw via '.engine()()'";
+  return {};
+}
+
+/// Tree-wide bans: constructs no scanned file may contain, reachable or
+/// not, each with the path exemptions of its contract.
+///   rng-confinement    raw randomness outside src/tensor/rng.{hpp,cpp}, the
+///                      portable-stream home (DESIGN.md §4)
+///   no-clock           clock reads outside src/obs (the clock matcher of
+///                      determinism-taint)
+///   no-unordered-iter  range-for over an unordered container, named by type
+///                      or by a variable declared with one
+///   no-pointer-hash    std::hash over a pointer type
+///   no-float           `float` in the bit-exactness layers
+///   no-banned-fn       unbounded or silently truncating C calls
+///   no-naked-mutex     raw std lock primitives outside the annotated
+///                      wrappers' own header
+///   include-hygiene    "../" and <bits/...> includes, and first-party
+///                      headers included with <>
+void check_tree_bans(const Model& m, std::vector<Finding>& out,
+                     const std::string& only_rule) {
+  static const std::set<std::string> banned_fns = {
+      "sprintf", "vsprintf", "strcpy", "strcat", "gets",  "tmpnam",
+      "atoi",    "atol",     "atof",   "asctime", "ctime"};
+  static const std::set<std::string> naked_locks = {
+      "mutex",       "timed_mutex", "recursive_mutex",  "shared_mutex",
+      "shared_timed_mutex", "lock_guard", "unique_lock", "shared_lock",
+      "scoped_lock", "condition_variable", "condition_variable_any"};
   for (std::size_t f = 0; f < m.files.size(); ++f) {
-    const std::string& vpath = m.files[f].vpath;
-    if (vpath == "src/tensor/rng.cpp" || vpath == "src/tensor/rng.hpp")
-      continue;
-    const auto& toks = m.files[f].toks;
-    for (std::size_t i = 0; i < toks.size(); ++i) {
-      if (toks[i].kind != Tk::Ident) continue;
-      const std::string& t = toks[i].text;
-      std::string what;
-      if (t.size() > kDistSuffix.size() &&
-          t.compare(t.size() - kDistSuffix.size(), kDistSuffix.size(),
-                    kDistSuffix) == 0)
-        what = "std distribution '" + t + "'";
-      else if (engines.count(t))
-        what = "raw RNG engine '" + t + "'";
-      else if (t == "engine" && i + 3 < toks.size() && i >= 1 &&
-               (toks[i - 1].text == "." || toks[i - 1].text == "->") &&
-               toks[i + 1].text == "(" && toks[i + 2].text == ")" &&
-               toks[i + 3].text == "(")
-        what = "raw engine draw via '.engine()()'";
-      if (what.empty()) continue;
-      if (line_allowed(m, static_cast<int>(f), toks[i].line, rule)) continue;
-      out.push_back({vpath, toks[i].line, rule,
-                     what + " outside src/tensor/rng.cpp — portable streams "
-                            "live there (DESIGN.md §4)"});
+    const FileInfo& fi = m.files[f];
+    const std::string& vpath = fi.vpath;
+    const auto flag = [&](int line, const std::string& rule, std::string msg) {
+      if ((only_rule.empty() || only_rule == rule) &&
+          !line_allowed(m, static_cast<int>(f), line, rule))
+        out.push_back({vpath, line, rule, std::move(msg)});
+    };
+    const bool rng_home =
+        vpath == "src/tensor/rng.cpp" || vpath == "src/tensor/rng.hpp";
+    const bool clock_home = vpath.rfind("src/obs/", 0) == 0;
+    const bool float_banned =
+        vpath.rfind("src/tensor/", 0) == 0 || vpath.rfind("src/linalg/", 0) == 0 ||
+        vpath.rfind("src/nn/", 0) == 0 || vpath.rfind("src/runtime/", 0) == 0;
+    const bool lock_home = vpath == "src/runtime/annotated_mutex.hpp";
+
+    for_each_token(fi, [&](const std::vector<Tok>& t, std::size_t i) {
+      if (t[i].kind != Tk::Ident) return;
+      const std::string& s = t[i].text;
+      const int line = t[i].line;
+      if (!rng_home) {
+        const std::string what = raw_rng(t, i);
+        if (!what.empty())
+          flag(line, "rng-confinement",
+               what + " outside src/tensor/rng.cpp — portable streams live "
+                      "there (DESIGN.md §4)");
+      }
+      if (!clock_home) {
+        const std::string what = clock_read(t, i);
+        if (!what.empty())
+          flag(line, "no-clock",
+               what + " outside src/obs; route timing through the "
+                      "observability layer");
+      }
+      const std::string hashed = pointer_hash(t, i);
+      if (!hashed.empty())
+        flag(line, "no-pointer-hash",
+             hashed + "; hash a stable id (index, name, flow key) instead");
+      if (float_banned && s == "float")
+        flag(line, "no-float",
+             "float in a bit-exactness layer; the determinism contract is "
+             "stated for double accumulation");
+      if (banned_fns.count(s) && i + 1 < t.size() && t[i + 1].text == "(")
+        flag(line, "no-banned-fn",
+             "'" + s + "' is banned; use the bounded/checked alternative "
+             "(snprintf, strtol/stod, std::string)");
+      if (!lock_home && naked_locks.count(s) && i >= 2 &&
+          t[i - 1].text == "::" && t[i - 2].text == "std")
+        flag(line, "no-naked-mutex",
+             "raw std::" + s + "; lock through runtime::AnnotatedMutex / "
+             "MutexLock / CondVar (runtime/annotated_mutex.hpp) so the "
+             "thread-safety and lock-order checks can see it");
+    });
+
+    // Range-for over an unordered container: the sequence names an
+    // unordered type, or is a variable this file declares with one.
+    std::set<std::string> unordered_vars;
+    for_each_token(fi, [&](const std::vector<Tok>& t, std::size_t i) {
+      if (!is_unordered(t[i].text) || i + 1 >= t.size() || t[i + 1].text != "<")
+        return;
+      std::size_t p = i + 1;
+      for (int depth = 0; p < t.size(); ++p) {
+        if (t[p].text == "<") ++depth;
+        if (t[p].text == ">" && --depth == 0) break;
+      }
+      do ++p;
+      while (p < t.size() && (t[p].text == "&" || t[p].text == "*"));
+      if (p < t.size() && t[p].kind == Tk::Ident) unordered_vars.insert(t[p].text);
+    });
+    for_each_token(fi, [&](const std::vector<Tok>& t, std::size_t i) {
+      if (t[i].text != "for" || i + 1 >= t.size() || t[i + 1].text != "(")
+        return;
+      std::size_t colon = 0, close = i + 1;
+      for (int depth = 0; close < t.size(); ++close) {
+        const std::string& a = t[close].text;
+        if (a == "(") ++depth;
+        if (a == ")" && --depth == 0) break;
+        if (depth == 1 && a == ";") break;  // a classic three-clause for
+        if (depth == 1 && a == ":" && colon == 0) colon = close;
+      }
+      if (colon == 0 || close >= t.size() || t[close].text != ")") return;
+      std::vector<std::string> seq;
+      bool typed = false;
+      for (std::size_t p = colon + 1; p < close; ++p) {
+        typed = typed || is_unordered(t[p].text);
+        if (t[p].text != "&" && t[p].text != "*" && t[p].text != "const")
+          seq.push_back(t[p].text);
+      }
+      if (typed || (seq.size() == 1 && unordered_vars.count(seq[0])))
+        flag(t[i].line, "no-unordered-iter",
+             "iteration over an unordered container has unspecified order; "
+             "use an ordered container or sort before emitting");
+    });
+
+    for (const Include& inc : fi.includes) {
+      if (inc.target.find("../") != std::string::npos)
+        flag(inc.line, "include-hygiene",
+             "parent-relative include; include repo headers by their "
+             "src-rooted path");
+      if (inc.target.rfind("bits/", 0) == 0)
+        flag(inc.line, "include-hygiene", "libstdc++ internal header <bits/...>");
+      if (inc.angled && !layer_of("src/" + inc.target).empty())
+        flag(inc.line, "include-hygiene",
+             "first-party header <" + inc.target + "> must use quotes");
     }
   }
+}
+
+/// registry-coverage: tools/check_determinism.sh must name every detector
+/// core::make_detector registers (`add("<name>"` in detector_factory.cpp),
+/// run bench_micro_substrate, and name every --dump-kernels case it emits
+/// (`dump_matrix("<case>"` and `fprintf(f, "<case>,%zu` rows), so the
+/// end-to-end determinism check cannot silently skip a detector or a
+/// blocked kernel. The rule is active when the model holds any of the
+/// three files: always in a tree scan, in the one fixture case that
+/// supplies them.
+void check_registry_coverage(const Model& m, std::vector<Finding>& out) {
+  const std::string rule = "registry-coverage";
+  const std::string factory_path = "src/core/detector_factory.cpp",
+                    bench_path = "bench/bench_micro_substrate.cpp",
+                    script_path = "tools/check_determinism.sh";
+  const auto find = [&](const std::string& vpath) -> const std::string* {
+    for (const FileInfo& fi : m.files)
+      if (fi.vpath == vpath) return &fi.text;
+    return nullptr;
+  };
+  const std::string* factory = find(factory_path);
+  const std::string* bench = find(bench_path);
+  const std::string* script = find(script_path);
+  if (!factory && !bench && !script) return;
+  const auto flag = [&](const std::string& file, const std::string& msg) {
+    out.push_back({file, 1, rule, msg});
+  };
+  for (const auto& [path, text] : {std::pair{&factory_path, factory},
+                                   std::pair{&bench_path, bench},
+                                   std::pair{&script_path, script}})
+    if (!text) flag(*path, "cannot read " + *path);
+  if (!factory || !bench || !script) return;
+
+  // Quoted names that follow `prefix` (at an identifier boundary) and are
+  // themselves followed by `suffix`.
+  const auto names_after = [](const std::string& text, std::string_view prefix,
+                              std::string_view suffix) {
+    std::set<std::string> names;
+    for (std::size_t at = text.find(prefix); at != std::string::npos;
+         at = text.find(prefix, at + 1)) {
+      if (at > 0 && ident_char(text[at - 1])) continue;
+      const std::size_t b = at + prefix.size();
+      const std::size_t e = text.find(suffix, b);
+      if (e != std::string::npos && e > b &&
+          text.find_first_of("\"\n", b) >= e)
+        names.insert(text.substr(b, e - b));
+    }
+    return names;
+  };
+  const std::set<std::string> detectors = names_after(*factory, "add(\"", "\"");
+  std::set<std::string> cases = names_after(*bench, "dump_matrix(\"", "\"");
+  for (const std::string& c : names_after(*bench, "fprintf(f, \"", ",%zu"))
+    if (std::all_of(c.begin(), c.end(),
+                    [](char ch) { return (ch >= 'a' && ch <= 'z') || ch == '_'; }))
+      cases.insert(c);
+
+  if (detectors.empty())
+    flag(factory_path, "no registered detectors found (parser drift?)");
+  for (const std::string& name : detectors)
+    if (script->find(name) == std::string::npos)
+      flag(script_path, "registered detector '" + name +
+                            "' is not covered by check_determinism.sh");
+  if (cases.empty())
+    flag(bench_path, "no --dump-kernels cases found (parser drift?)");
+  if (script->find("bench_micro_substrate") == std::string::npos)
+    flag(script_path,
+         "check_determinism.sh never runs bench_micro_substrate's kernel sweep");
+  for (const std::string& c : cases)
+    if (script->find("\"" + c + "\"") == std::string::npos)
+      flag(script_path, "kernel dump case '" + c +
+                            "' is not covered by check_determinism.sh");
 }
 
 /// Site-level `// cnd-det-ok(reason)` / `// cnd-throw-ok(reason)` waivers:
@@ -1736,15 +2000,23 @@ bool read_file(const fs::path& p, std::string& out) {
   return true;
 }
 
-int add_file(Model& m, const std::string& vpath, const std::string& text,
-             bool parse_defs) {
+bool is_source(const fs::path& p) {
+  const std::string ext = p.extension().string();
+  return ext == ".cpp" || ext == ".hpp" || ext == ".h" || ext == ".cc";
+}
+
+/// Add one file to the model: C++ sources are lexed (and parsed into
+/// definitions when `parse_defs`); anything else is kept as text only.
+void add_file(Model& m, const std::string& vpath, std::string text,
+              bool parse_defs) {
   FileInfo fi;
   fi.vpath = vpath;
-  lex(text, fi.toks, fi.ann);
+  fi.text = std::move(text);
+  const bool source = is_source(vpath);
+  if (source) lex(fi);
   m.files.push_back(std::move(fi));
-  const int idx = static_cast<int>(m.files.size()) - 1;
-  if (parse_defs) Parser(m, idx).run();
-  return idx;
+  if (source && parse_defs)
+    Parser(m, static_cast<int>(m.files.size()) - 1).run();
 }
 
 /// Every rule this tool knows, with the one-line description used in SARIF
@@ -1760,11 +2032,9 @@ const std::vector<std::pair<std::string, std::string>>& rule_catalog() {
       {"lock-order",
        "the mutex-acquisition graph must stay acyclic (no ABBA inversions, "
        "no re-acquisition of a held mutex)"},
-      {"layering-transitive",
-       "call edges must respect the layer DAG even through forward "
-       "declarations"},
-      {"rng-confinement",
-       "std distributions and raw engines live in src/tensor/rng.cpp only"},
+      {"layering",
+       "src/<layer> includes and qualified calls stay inside the layer DAG "
+       "of src/CMakeLists.txt, even through forward declarations"},
       {"snapshot-completeness",
        "every data member of a snapshot()/restore() class is referenced in "
        "both bodies or carries cnd-snapshot: skip(<reason>)"},
@@ -1775,6 +2045,27 @@ const std::vector<std::pair<std::string, std::string>>& rule_catalog() {
       {"throw-free-hot",
        "cnd-hot roots must not reach throw/require outside cnd-throw-ok "
        "barriers"},
+      {"rng-confinement",
+       "std distributions, raw engines, std::rand/srand and raw engine draws "
+       "live in src/tensor/rng.{hpp,cpp} only"},
+      {"no-clock", "clock reads live in src/obs only"},
+      {"no-unordered-iter",
+       "no range-for over an unordered container (unspecified order)"},
+      {"no-pointer-hash",
+       "no std::hash over a pointer type (ASLR leaks into the value)"},
+      {"no-float",
+       "no float in the bit-exactness layers (src/tensor, src/linalg, "
+       "src/nn, src/runtime)"},
+      {"no-banned-fn",
+       "no unbounded or silently truncating C calls (sprintf, strcpy, "
+       "atoi, ...)"},
+      {"no-naked-mutex",
+       "raw std lock primitives only inside runtime/annotated_mutex.hpp"},
+      {"include-hygiene",
+       "no \"../\" or <bits/...> includes; first-party headers in quotes"},
+      {"registry-coverage",
+       "tools/check_determinism.sh names every registered detector and "
+       "--dump-kernels case"},
   };
   return rules;
 }
@@ -1794,12 +2085,18 @@ std::vector<Finding> run_checks(Model& m, const std::string& only_rule = {}) {
   if (want("hot-path-alloc")) check_hot_paths(m, findings);
   if (want("wait-free")) check_wait_free(m, findings);
   if (want("lock-order")) check_lock_order(m, findings);
-  if (want("layering-transitive")) check_layering(m, findings);
-  if (want("rng-confinement")) check_rng_confinement(m, findings);
+  if (want("layering")) check_layering(m, findings);
   if (want("snapshot-completeness")) check_snapshot_completeness(m, findings);
   if (want("determinism-taint")) check_determinism_taint(m, findings);
   if (want("throw-free-hot")) check_throw_free(m, findings);
+  check_tree_bans(m, findings, only_rule);
+  if (want("registry-coverage")) check_registry_coverage(m, findings);
   std::sort(findings.begin(), findings.end());
+  findings.erase(std::unique(findings.begin(), findings.end(),
+                             [](const Finding& a, const Finding& b) {
+                               return !(a < b) && !(b < a);
+                             }),
+                 findings.end());
   return findings;
 }
 
@@ -1918,8 +2215,7 @@ std::vector<std::string> compile_command_files(const std::string& json) {
 }
 
 bool skip_vpath(const std::string& vpath) {
-  return vpath.find("lint_selftest") != std::string::npos ||
-         vpath.find("analyze_selftest") != std::string::npos ||
+  return vpath.find("analyze_selftest") != std::string::npos ||
          vpath.rfind("build/", 0) == 0;
 }
 
@@ -1948,15 +2244,14 @@ int run_tree(const fs::path& compile_commands, const fs::path& root,
     const std::string vpath = rel.generic_string();
     if (!skip_vpath(vpath)) vpaths.insert(vpath);
   }
-  // Headers never appear in compile_commands; pick them up directly so
-  // inline hot-path code (layer defaults, parallel_for) is modeled too.
+  // Every source file under the first-party directories: headers (inline
+  // hot-path code) and sources outside any build target alike, so the
+  // tree-wide bans see the whole tree.
   for (const char* dir : {"src", "tests", "bench", "tools", "examples"}) {
     const fs::path base = root_abs / dir;
     if (!fs::exists(base)) continue;
     for (const auto& e : fs::recursive_directory_iterator(base)) {
-      if (!e.is_regular_file()) continue;
-      const std::string ext = e.path().extension().string();
-      if (ext != ".hpp" && ext != ".h") continue;
+      if (!e.is_regular_file() || !is_source(e.path())) continue;
       const std::string vpath =
           e.path().lexically_relative(root_abs).generic_string();
       if (!skip_vpath(vpath)) vpaths.insert(vpath);
@@ -1976,9 +2271,14 @@ int run_tree(const fs::path& compile_commands, const fs::path& root,
       return 2;
     }
     // The call-graph model covers src/ — the library code the contracts
-    // bind. Tests/bench/tools are still scanned for RNG confinement.
-    add_file(m, vpath, text, vpath.rfind("src/", 0) == 0);
+    // bind. Tests/bench/tools/examples get the token-level rules.
+    add_file(m, vpath, std::move(text), vpath.rfind("src/", 0) == 0);
   }
+  // registry-coverage reads the determinism script; a missing script is
+  // that rule's finding.
+  std::string script;
+  if (read_file(root_abs / "tools/check_determinism.sh", script))
+    add_file(m, "tools/check_determinism.sh", std::move(script), false);
 
   const std::vector<Finding> findings = run_checks(m, opt.only_rule);
 
@@ -2044,6 +2344,21 @@ int run_tree(const fs::path& compile_commands, const fs::path& root,
   return findings.empty() ? 0 : 1;
 }
 
+/// Every value of a `marker value` header line in `text`.
+std::vector<std::string> header_values(const std::string& text,
+                                       std::string_view marker) {
+  std::vector<std::string> out;
+  for (std::size_t at = text.find(marker); at != std::string::npos;
+       at = text.find(marker, at + 1)) {
+    const std::size_t b = at + marker.size();
+    const std::size_t e = text.find('\n', b);
+    const std::string value = trim(std::string_view(text).substr(
+        b, e == std::string::npos ? std::string::npos : e - b));
+    if (!value.empty()) out.push_back(value);
+  }
+  return out;
+}
+
 int run_selftest(const fs::path& dir, const std::string& sarif_path) {
   if (!fs::exists(dir)) {
     std::fprintf(stderr, "cnd_analyze: no such fixture dir %s\n",
@@ -2076,13 +2391,14 @@ int run_selftest(const fs::path& dir, const std::string& sarif_path) {
           io_error = true;
           break;
         }
-        const int idx = add_file(m, f.filename().string(), text, false);
-        FileInfo& fi = m.files[static_cast<std::size_t>(idx)];
-        // Fixtures declare the virtual path that drives layer / rng
-        // decisions; re-parse under that identity.
-        if (!fi.ann.fixture_path.empty()) fi.vpath = fi.ann.fixture_path;
-        Parser(m, idx).run();
-        for (const std::string& r : fi.ann.expects) expected.insert(r);
+        // Fixture headers, one per line in any comment syntax: the virtual
+        // path the rules see the file at, and each rule the case must trip.
+        const std::vector<std::string> path =
+            header_values(text, "cnd-analyze-path:");
+        for (std::string& r : header_values(text, "cnd-analyze-expect:"))
+          expected.insert(std::move(r));
+        add_file(m, path.empty() ? f.filename().string() : path.front(),
+                 std::move(text), true);
       }
       if (io_error) {
         ++failures;
@@ -2133,7 +2449,7 @@ void usage() {
 
 void help() {
   std::printf(
-      "cnd_analyze — whole-program contract analyzer for the cnd tree.\n"
+      "cnd_analyze — the static checker for the cnd tree's contracts.\n"
       "\n"
       "usage:\n"
       "  cnd_analyze --compile-commands <json> --root <repo-root>\n"
@@ -2141,7 +2457,9 @@ void help() {
       "  cnd_analyze --selftest <fixture-dir> [--sarif <file>]\n"
       "\n"
       "options:\n"
-      "  --compile-commands <json>  compile_commands.json naming the TUs\n"
+      "  --compile-commands <json>  compile_commands.json; its TUs join every\n"
+      "                             source file under src/ tests/ bench/\n"
+      "                             tools/ examples/\n"
       "  --root <dir>               repo root for repo-relative paths\n"
       "  --rule=<name>              run a single rule (tree scan only)\n"
       "  --sarif <file>             also write findings as SARIF 2.1.0\n"

@@ -1,14 +1,14 @@
 # Drives the SARIF reporting layer end to end as a ctest case
-# (docs/STATIC_ANALYSIS.md): emit from both tools, structurally validate
-# with tools/check_sarif.py, and merge into the single artifact CI uploads.
+# (docs/STATIC_ANALYSIS.md): emit from cnd_analyze and structurally validate
+# with tools/check_sarif.py.
 #
 # Inputs (all -D):
 #   ANALYZE_BIN  path to the cnd_analyze binary
 #   PYTHON       python3 interpreter
 #   SRC_DIR      repository root
 #   BIN_DIR      build directory (compile_commands.json lives here)
-#   MODE         "selftest" — fixture-corpus reports, results required
-#                "tree"     — real-tree reports (clean => empty results),
+#   MODE         "selftest" — fixture-corpus report, results required
+#                "tree"     — real-tree report (clean => empty results),
 #                             plus --rule/--json single-rule smoke
 cmake_minimum_required(VERSION 3.16)
 
@@ -25,24 +25,15 @@ file(MAKE_DIRECTORY ${work})
 set(check ${PYTHON} ${SRC_DIR}/tools/check_sarif.py)
 
 if(MODE STREQUAL "selftest")
-  # The corpora contain known-bad fixtures, so both reports must carry
+  # The corpus contains known-bad fixtures, so the report must carry
   # results — this is the schema check over a non-trivial document.
   run(${ANALYZE_BIN} --selftest ${SRC_DIR}/tools/analyze_selftest
       --sarif ${work}/analyze.sarif)
-  run(${PYTHON} ${SRC_DIR}/tools/cnd_lint.py --self-test --root ${SRC_DIR}
-      --sarif ${work}/lint.sarif)
   run(${check} ${work}/analyze.sarif --require-results)
-  run(${check} ${work}/lint.sarif --require-results)
 elseif(MODE STREQUAL "tree")
   run(${ANALYZE_BIN} --compile-commands ${BIN_DIR}/compile_commands.json
       --root ${SRC_DIR} --sarif ${work}/analyze.sarif)
-  run(${PYTHON} ${SRC_DIR}/tools/cnd_lint.py --root ${SRC_DIR}
-      --sarif ${work}/lint.sarif)
   run(${check} ${work}/analyze.sarif)
-  run(${check} ${work}/lint.sarif)
-  run(${PYTHON} ${SRC_DIR}/tools/merge_sarif.py -o ${work}/merged.sarif
-      ${work}/analyze.sarif ${work}/lint.sarif)
-  run(${check} ${work}/merged.sarif)
   # Single-rule + machine-readable summary, the form check_determinism.sh
   # consumes.
   run(${ANALYZE_BIN} --compile-commands ${BIN_DIR}/compile_commands.json
