@@ -18,11 +18,11 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "eval/timer.hpp"
 #include "linalg/distance.hpp"
 #include "linalg/ivf_index.hpp"
 #include "ml/knn_detector.hpp"
 #include "ml/lof.hpp"
+#include "obs/scoped_timer.hpp"
 #include "tensor/rng.hpp"
 
 namespace {
@@ -200,7 +200,7 @@ template <typename F>
 double best_ms(F&& fn, int reps) {
   double best = 0.0;
   for (int r = 0; r < reps; ++r) {
-    eval::Timer t;
+    obs::Stopwatch t;
     fn();
     const double ms = t.elapsed_ms();
     if (r == 0 || ms < best) best = ms;
@@ -240,7 +240,7 @@ int run_sweep(const bench::BenchOptions& o) {
   const std::size_t probes[] = {1, 2, 4, 8, 16, 32};
   for (std::size_t pi = 0; pi < std::size(probes); ++pi) {
     const std::size_t nprobe = probes[pi];
-    eval::Timer bt;
+    obs::Stopwatch bt;
     prov.bind(ref, {.nprobe = nprobe});
     const double build_ms = bt.elapsed_ms();
     linalg::Knn approx;

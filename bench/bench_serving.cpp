@@ -28,7 +28,7 @@
 
 #include "bench_common.hpp"
 #include "data/flow_generator.hpp"
-#include "eval/timer.hpp"
+#include "obs/scoped_timer.hpp"
 #include "serve/flow_record.hpp"
 #include "serve/service.hpp"
 
@@ -64,23 +64,6 @@ ServingOptions parse_serving(int argc, char** argv) {
   if (o.flows == 0 || o.batch == 0 || o.shards == 0 || o.queue == 0)
     throw std::invalid_argument("bench_serving: flags must be >= 1");
   return o;
-}
-
-/// Estimate the q-quantile of a fixed-bucket histogram from its cumulative
-/// bucket counts: the inclusive upper edge of the first bucket reaching
-/// q * count. Overflow samples report the last finite edge (a lower bound).
-double histogram_quantile(const obs::Histogram& h, double q) {
-  const std::uint64_t total = h.count();
-  if (total == 0) return 0.0;
-  const auto target =
-      static_cast<std::uint64_t>(q * static_cast<double>(total) + 0.5);
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < h.n_buckets(); ++i) {
-    cum += h.bucket_count(i);
-    if (cum >= target)
-      return h.bounds()[i < h.bounds().size() ? i : h.bounds().size() - 1];
-  }
-  return h.bounds().back();
 }
 
 }  // namespace
@@ -145,7 +128,7 @@ int main(int argc, char** argv) {
   cfg.adapt_interval_flows = so.adapt_every;
   serve::ScoringService svc(cfg);
 
-  eval::Timer boot_timer;
+  obs::Stopwatch boot_timer;
   svc.bootstrap(n_clean);
   std::printf("  bootstrap: %.1f ms, threshold %.6g\n", boot_timer.elapsed_ms(),
               svc.threshold());
@@ -153,7 +136,7 @@ int main(int argc, char** argv) {
   // ---- Replay the file through the queue ----------------------------------
   Matrix batch;
   std::size_t retries = 0;
-  eval::Timer soak_timer;
+  obs::Stopwatch soak_timer;
   for (std::size_t lo = 0; lo < file.rows(); lo += so.batch) {
     const std::size_t hi = std::min(lo + so.batch, file.rows());
     file.copy_rows_into(lo, hi, batch);
@@ -171,8 +154,8 @@ int main(int argc, char** argv) {
   const double flows_per_sec =
       static_cast<double>(svc.flows_admitted()) / (soak_ms / 1000.0);
   const obs::Histogram& score_ms = obs::metrics().histogram("serve.score_ms");
-  const double p50 = histogram_quantile(score_ms, 0.50);
-  const double p99 = histogram_quantile(score_ms, 0.99);
+  const double p50 = score_ms.quantile(0.50);
+  const double p99 = score_ms.quantile(0.99);
 
   std::size_t alarms = 0;
   for (const auto& b : svc.results())

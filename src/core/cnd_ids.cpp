@@ -3,7 +3,6 @@
 #include "obs/metrics.hpp"
 #include "obs/scoped_timer.hpp"
 #include "tensor/assert.hpp"
-#include "tensor/check.hpp"
 
 namespace cnd::core {
 
@@ -109,9 +108,6 @@ void CndIds::score_into(const Matrix& x_test, std::vector<double>& out) {
   require(pca_.fitted(), "CndIds::score: no experience observed yet");  // cnd-throw-ok(precondition on caller-supplied shapes/arguments — programmer error, not traffic)
   cfe_.encode_into(x_test, latent_);
   pca_.score_into(latent_, out, score_ws_);
-  // Scores feed threshold search and CSV output; a NaN would scramble both.
-  CND_DCHECK_ALL_FINITE(std::span<const double>(out),
-                        "CndIds::score: non-finite score");
 }
 
 }  // namespace cnd::core

@@ -41,7 +41,7 @@ class CndIds final : public ContinualDetector {
 
   bool supports_snapshot() const override { return true; }
   /// Scoring state only (encoder + PCA moments); defined in
-  /// src/io/detector_snapshot.cpp, which routes through io::model_io.
+  /// src/io/detector_snapshot.cpp on the io::binary primitives.
   void snapshot(std::ostream& os) const override;
   /// Restored detectors are inference-only: observe_experience() throws
   /// std::logic_error afterwards (the CFE keeps no training state).

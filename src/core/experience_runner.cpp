@@ -4,7 +4,7 @@
 
 #include "eval/metrics.hpp"
 #include "eval/threshold.hpp"
-#include "eval/timer.hpp"
+#include "obs/scoped_timer.hpp"
 #include "tensor/assert.hpp"
 #include "tensor/check.hpp"
 #include "tensor/rng.hpp"
@@ -57,13 +57,13 @@ RunResult run_protocol(ContinualDetector& det, const data::ExperienceSet& es,
   std::size_t infer_samples = 0;
 
   for (std::size_t i = 0; i < m; ++i) {
-    eval::Timer fit_timer;
+    obs::Stopwatch fit_timer;
     det.observe_experience(es.experiences[i].x_train);
     res.fit_ms_total += fit_timer.elapsed_ms();
 
     for (std::size_t j = 0; j < m; ++j) {
       const auto& e = es.experiences[j];
-      eval::Timer t;
+      obs::Stopwatch t;
       if (det.has_scores()) {
         const std::vector<double> s = det.score(e.x_test);
         infer_ms += t.elapsed_ms();

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "core/adaptive_cnd_ids.hpp"
+#include "core/cnd_ids.hpp"
 #include "tensor/assert.hpp"
 
 namespace cnd::core {
@@ -35,6 +37,17 @@ std::vector<std::vector<FeatureAttribution>> explain_fre(const ml::Pca& pca,
     out[i] = std::move(attr);
   }
   return out;
+}
+
+std::vector<std::vector<FeatureAttribution>> explain_detector(
+    const ContinualDetector& det, const Matrix& x, std::size_t top_k) {
+  const auto* cnd = dynamic_cast<const CndIds*>(&det);
+  if (const auto* adaptive = dynamic_cast<const AdaptiveCndIds*>(&det))
+    cnd = &adaptive->detector();
+  require(cnd != nullptr, "explain_detector: " + det.name() +
+                              " has no CND-IDS encoder and PCA head to explain");
+  nn::Sequential encoder = cnd->cfe().autoencoder().encoder_copy();
+  return explain_fre(cnd->pca(), encoder.forward(x, /*train=*/false), top_k);
 }
 
 std::string format_attribution(const std::vector<FeatureAttribution>& attr,

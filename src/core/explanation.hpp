@@ -28,6 +28,15 @@ struct FeatureAttribution {
 std::vector<std::vector<FeatureAttribution>> explain_fre(
     const ml::Pca& pca, const Matrix& x, std::size_t top_k = 5);
 
+class ContinualDetector;
+
+/// explain_fre for a CND-IDS detector, trained or restored from a snapshot:
+/// encode `x` with its CFE encoder and decompose its PCA head's FRE in the
+/// latent space. An Adaptive detector is explained through its inner
+/// CND-IDS. Throws std::invalid_argument for any other detector.
+std::vector<std::vector<FeatureAttribution>> explain_detector(
+    const ContinualDetector& det, const Matrix& x, std::size_t top_k = 5);
+
 /// One-line rendering, e.g. "f3 (62%), f7 (21%), f1 (9%)".
 std::string format_attribution(const std::vector<FeatureAttribution>& attr,
                                const std::vector<std::string>& names = {});

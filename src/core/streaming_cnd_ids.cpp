@@ -103,35 +103,44 @@ void StreamingCndIds::process_batch_into(const Matrix& batch,
   check_batch(batch);
   detector_.score_into(batch, out.scores);
   out.threshold = threshold_;
-  out.verdicts.resize(out.scores.size());
-  for (std::size_t i = 0; i < out.scores.size(); ++i)
-    out.verdicts[i] = out.scores[i] > threshold_ ? 1 : 0;
+  const std::size_t nonfinite =
+      eval::verdicts_into(batch, out.scores, threshold_, out.verdicts);
   out.adapted = false;
   flows_seen_ += batch.rows();
 
-  // Drift statistic: mean score of the batch. A drifting normal population
-  // raises the mean even when no attack wave is in progress.
+  // Drift statistic: mean score of the batch's finite flows. A drifting
+  // normal population raises the mean even when no attack wave is in
+  // progress; one non-finite flow would poison it.
+  const std::size_t d = batch.cols();
   double mean = 0.0;
-  for (double v : out.scores) mean += v;
-  mean /= static_cast<double>(out.scores.size());
-  out.drift_signal = ph_.update(mean);
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < out.scores.size(); ++i) {
+    if (nonfinite != 0 &&
+        !eval::finite_flow({batch.data() + i * d, d}, out.scores[i]))
+      continue;
+    mean += out.scores[i];
+    ++n;
+  }
+  if (n > 0) mean /= static_cast<double>(n);
+  out.drift_signal = n > 0 && ph_.update(mean);
 
-  finish_batch(batch, mean, out);
+  finish_batch(batch, mean, nonfinite, out);
 }
 
 // cnd-alloc-ok(telemetry name strings, the stream buffer, and the adaptation round allocate by design)
 void StreamingCndIds::finish_batch(const Matrix& batch, double mean_score,
-                                   StreamBatchResult& out) {
+                                   std::size_t nonfinite, StreamBatchResult& out) {
   obs::MetricsRegistry& m = obs::metrics();
   m.counter("stream.batches_total").add(1);
   m.counter("stream.flows_total").add(batch.rows());
+  m.counter("stream.nonfinite_total").add(nonfinite);
   if (out.drift_signal) {
     m.counter("stream.drift_signals_total").add(1);
     obs::events().emit("stream.drift",
                        {{"flows_seen", flows_seen_}, {"mean_score", mean_score}});
   }
 
-  buffer_.append_rows(batch);
+  eval::append_finite_rows(buffer_, batch);
   const bool buffer_full = buffer_.rows() >= cfg_.max_buffer_rows;
   const bool can_adapt = buffer_.rows() >= cfg_.min_buffer_rows;
   if ((out.drift_signal && can_adapt) || buffer_full) {

@@ -83,8 +83,11 @@ class StreamingCndIds {
   /// bootstrap(), std::invalid_argument on bad batches.
   void check_batch(const Matrix& batch) const;
   /// Telemetry + buffering + (maybe) the adaptation round after the hot
-  /// core has filled `out`.
-  void finish_batch(const Matrix& batch, double mean_score, StreamBatchResult& out);
+  /// core has filled `out`. `nonfinite` is the batch's count of flows
+  /// alarmed for non-finite input; rows with a non-finite feature stay out
+  /// of the buffer.
+  void finish_batch(const Matrix& batch, double mean_score, std::size_t nonfinite,
+                    StreamBatchResult& out);
 
   StreamingConfig cfg_;
   CndIds detector_;

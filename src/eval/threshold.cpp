@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "tensor/assert.hpp"
+#include "tensor/check.hpp"
 
 namespace cnd::eval {
 
@@ -65,6 +66,37 @@ std::vector<int> apply_threshold(const std::vector<double>& scores, double thres
   std::vector<int> out(scores.size());
   for (std::size_t i = 0; i < scores.size(); ++i) out[i] = scores[i] > threshold ? 1 : 0;
   return out;
+}
+
+bool finite_flow(std::span<const double> features, double score) {
+  return std::isfinite(score) && check::all_finite(features);
+}
+
+std::size_t verdicts_into(const Matrix& x, std::span<const double> scores,
+                          double threshold, std::vector<int>& out) {
+  const std::size_t d = x.cols();
+  out.resize(scores.size());
+  std::size_t nonfinite = 0;
+  for (std::size_t i = 0; i < scores.size(); ++i) {
+    if (finite_flow({x.data() + i * d, d}, scores[i])) {
+      out[i] = scores[i] > threshold ? 1 : 0;
+    } else {
+      out[i] = 1;
+      ++nonfinite;
+    }
+  }
+  return nonfinite;
+}
+
+void append_finite_rows(Matrix& buffer, const Matrix& x) {
+  std::vector<std::size_t> keep;
+  keep.reserve(x.rows());
+  for (std::size_t i = 0; i < x.rows(); ++i)
+    if (check::all_finite(x.row(i))) keep.push_back(i);
+  if (keep.size() == x.rows())
+    buffer.append_rows(x);
+  else
+    buffer.append_rows(x.take_rows(keep));
 }
 
 }  // namespace cnd::eval

@@ -101,7 +101,10 @@ void write_matrix(std::ostream& os, const Matrix& m) {
 Matrix read_matrix(std::istream& is) {
   const std::uint64_t rows = read_u64(is);
   const std::uint64_t cols = read_u64(is);
-  if (rows * cols > (1u << 28))
+  // Each factor is bounded before the product is formed, so a crafted
+  // header (e.g. 2^32 x 2^32) cannot wrap the product past the limit.
+  constexpr std::uint64_t kMaxElems = 1u << 28;
+  if (rows > kMaxElems || cols > kMaxElems || rows * cols > kMaxElems)
     throw std::runtime_error("cnd::io: implausible matrix size");
   Matrix m(rows, cols);
   is.read(reinterpret_cast<char*>(m.data()),

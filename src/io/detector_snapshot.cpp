@@ -1,6 +1,6 @@
 // Snapshot/restore of detector scoring state — the implementation of
 // core::ContinualDetector's serving hot-swap contract for CndIds and
-// AdaptiveCndIds, routed through io::binary + io::model_io.
+// AdaptiveCndIds, routed through the io::binary primitives.
 //
 // These are member functions of core:: classes defined in an io-layer TU on
 // purpose: core cannot depend on io (layering), but a member function may
@@ -21,15 +21,19 @@
 // without half-mutating the detector. The Adaptive payload nests the full
 // inner CndIds envelope, so the inner state is independently checksummed.
 #include <istream>
+#include <memory>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "core/adaptive_cnd_ids.hpp"
 #include "core/cnd_ids.hpp"
 #include "io/binary.hpp"
-#include "io/model_io.hpp"
+#include "nn/activations.hpp"
+#include "nn/linear.hpp"
 #include "tensor/assert.hpp"
+#include "tensor/rng.hpp"
 
 namespace cnd::core {
 
@@ -40,6 +44,48 @@ namespace {
 constexpr std::uint64_t kTagCndIds = 1;
 constexpr std::uint64_t kTagAdaptive = 2;
 
+// Layer tags of a serialized encoder.
+constexpr std::uint64_t kLinear = 1, kRelu = 2;
+
+// Sequential does not expose its layer list, so the writer reconstructs the
+// structure from the Param list (each Linear contributes a (W, b) pair) and
+// assumes the canonical CFE encoder shape [Linear, ReLU]* Linear.
+void write_sequential(std::ostream& os, nn::Sequential& net) {
+  auto params = net.params();
+  require(params.size() % 2 == 0 && !params.empty(),
+          "write_sequential: unexpected parameter layout");
+  const std::size_t n_linear = params.size() / 2;
+  io::write_u64(os, 2 * n_linear - 1);  // layer count: Linear + interleaved ReLU
+  for (std::size_t l = 0; l < n_linear; ++l) {
+    io::write_u64(os, kLinear);
+    io::write_matrix(os, *params[2 * l].value);      // W
+    io::write_matrix(os, *params[2 * l + 1].value);  // b
+    if (l + 1 < n_linear) io::write_u64(os, kRelu);
+  }
+}
+
+nn::Sequential read_sequential(std::istream& is) {
+  const std::uint64_t n_layers = io::read_u64(is);
+  require(n_layers >= 1 && n_layers < 1024, "read_sequential: bad layer count");
+  nn::Sequential net;
+  Rng dummy(0);
+  for (std::uint64_t l = 0; l < n_layers; ++l) {
+    const std::uint64_t tag = io::read_u64(is);
+    if (tag == kLinear) {
+      Matrix w = io::read_matrix(is);
+      Matrix b = io::read_matrix(is);
+      auto lin = std::make_unique<nn::Linear>(w.rows(), w.cols(), dummy);
+      lin->set_weights(w, b);
+      net.add(std::move(lin));
+    } else if (tag == kRelu) {
+      net.add(std::make_unique<nn::ReLU>());
+    } else {
+      throw std::runtime_error("read_sequential: unknown layer tag");
+    }
+  }
+  return net;
+}
+
 }  // namespace
 
 void CndIds::snapshot(std::ostream& os) const {
@@ -49,7 +95,7 @@ void CndIds::snapshot(std::ostream& os) const {
   // encoder_copy() deep-clones, giving write_sequential the non-const
   // Sequential its params() walk needs without const_cast.
   nn::Sequential enc = cfe_.autoencoder().encoder_copy();
-  io::write_sequential(payload, enc);
+  write_sequential(payload, enc);
   io::write_vec(payload, pca_.center());
   io::write_matrix(payload, pca_.components());
   require(payload.good(), "CndIds::snapshot: payload write failed");
@@ -61,7 +107,7 @@ void CndIds::restore(std::istream& is) {
   std::istringstream payload(io::read_envelope(is, kTagCndIds, "CndIds"),
                              std::ios::binary);
   const auto input_dim = static_cast<std::size_t>(io::read_u64(payload));
-  nn::Sequential enc = io::read_sequential(payload);
+  nn::Sequential enc = read_sequential(payload);
   std::vector<double> mean = io::read_vec(payload);
   Matrix comps = io::read_matrix(payload);
   require(payload.good(), "CndIds::restore: truncated snapshot");

@@ -6,12 +6,6 @@
 
 namespace cnd::ml {
 
-StandardScaler::StandardScaler(std::vector<double> mean, std::vector<double> stddev)
-    : mean_(std::move(mean)), std_(std::move(stddev)) {
-  require(!mean_.empty() && mean_.size() == std_.size(),
-          "StandardScaler: invalid restored statistics");
-}
-
 void StandardScaler::fit(const Matrix& x) {
   require(x.rows() > 0, "StandardScaler::fit: empty matrix");
   mean_ = col_mean(x);

@@ -13,10 +13,6 @@ namespace cnd::ml {
 /// z-score standardization per column; constant columns map to 0.
 class StandardScaler {
  public:
-  StandardScaler() = default;
-  /// Restore a fitted scaler from its statistics (deserialization path).
-  StandardScaler(std::vector<double> mean, std::vector<double> stddev);
-
   void fit(const Matrix& x);
   Matrix transform(const Matrix& x) const;
   Matrix fit_transform(const Matrix& x);

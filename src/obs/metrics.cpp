@@ -38,6 +38,19 @@ void Histogram::record(double v) {
   detail::atomic_add(sum_, v);
 }
 
+double Histogram::quantile(double q) const {
+  const std::uint64_t total = count();
+  if (total == 0) return 0.0;
+  const auto target =
+      static_cast<std::uint64_t>(q * static_cast<double>(total) + 0.5);
+  std::uint64_t cum = 0;
+  for (std::size_t i = 0; i < bounds_.size(); ++i) {
+    cum += bucket_count(i);
+    if (cum >= target) return bounds_[i];
+  }
+  return bounds_.back();
+}
+
 void Histogram::reset() {
   for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);

@@ -95,6 +95,10 @@ class Histogram {
     return counts_[i].load(std::memory_order_relaxed);
   }
   const std::vector<double>& bounds() const { return bounds_; }
+  /// Bucket-edge estimate of the q-quantile: the inclusive upper edge of the
+  /// first bucket whose cumulative count reaches q * count(). Overflow
+  /// samples report the last finite edge (a lower bound); 0 when empty.
+  double quantile(double q) const;
   void reset();
 
  private:

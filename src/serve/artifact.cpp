@@ -33,15 +33,24 @@ std::unique_ptr<core::ContinualDetector> restore_replica(
   return det;
 }
 
+namespace {
+
+// Envelope tag of an artifact file. Detector snapshots use small tags
+// (io/detector_snapshot.cpp), so a bare snapshot never loads as an artifact.
+constexpr std::uint64_t kTagArtifact = 0x41525446;  // "ARTF"
+
+}  // namespace
+
 void save_artifact(const std::string& path, const ServingArtifact& a) {
+  std::ostringstream payload(std::ios::binary);
+  io::write_u64(payload, a.version);
+  io::write_string(payload, a.detector);
+  io::write_f64(payload, a.threshold);
+  io::write_string(payload, a.model_bytes);
   std::ofstream os(path, std::ios::binary);
   if (!os.good())
     throw std::runtime_error("save_artifact: cannot open " + path);
-  io::write_header(os);
-  io::write_u64(os, a.version);
-  io::write_string(os, a.detector);
-  io::write_f64(os, a.threshold);
-  io::write_string(os, a.model_bytes);
+  io::write_envelope(os, kTagArtifact, payload.str());
   require(os.good(), "save_artifact: write failed for " + path);
 }
 
@@ -49,13 +58,13 @@ ServingArtifact load_artifact(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   if (!is.good())
     throw std::runtime_error("load_artifact: cannot open " + path);
-  io::read_header(is);
+  std::istringstream payload(io::read_envelope(is, kTagArtifact, "ServingArtifact"),
+                             std::ios::binary);
   ServingArtifact a;
-  a.version = io::read_u64(is);
-  a.detector = io::read_string(is);
-  a.threshold = io::read_f64(is);
-  a.model_bytes = io::read_string(is);
-  require(is.good(), "load_artifact: truncated artifact " + path);
+  a.version = io::read_u64(payload);
+  a.detector = io::read_string(payload);
+  a.threshold = io::read_f64(payload);
+  a.model_bytes = io::read_string(payload);
   return a;
 }
 

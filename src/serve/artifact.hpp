@@ -38,9 +38,11 @@ std::shared_ptr<const ServingArtifact> make_artifact(
 std::unique_ptr<core::ContinualDetector> restore_replica(
     const ServingArtifact& a, const core::DetectorConfig& cfg = {});
 
-/// Persist an artifact to / load one from a file (io::binary framing, magic
-/// + version header). The `cnd snapshot` / `cnd restore` pair round-trips
-/// through these.
+/// Persist an artifact to / load one from a file. The whole artifact
+/// (version, detector name, threshold, snapshot) is one checksummed
+/// io::binary envelope, so a flipped byte anywhere in it — the threshold
+/// included — makes load_artifact throw instead of mis-loading. The
+/// `cnd snapshot` / `cnd restore` pair round-trips through these.
 void save_artifact(const std::string& path, const ServingArtifact& a);
 ServingArtifact load_artifact(const std::string& path);
 

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "eval/robust_threshold.hpp"
+#include "eval/threshold.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/scoped_timer.hpp"
@@ -100,13 +101,16 @@ bool ScoringService::try_submit(const Matrix& batch) {
 
 void ScoringService::maybe_adapt(const Matrix& batch) {
   if (cfg_.adapt_interval_flows == 0) return;
-  adapt_buffer_.append_rows(batch);
+  // Non-finite rows are alarmed by the shards and never trained on; the
+  // round boundary still counts them, as admitted flows.
+  eval::append_finite_rows(adapt_buffer_, batch);
   const std::uint64_t rounds_due = flows_admitted_ / cfg_.adapt_interval_flows;
   if (rounds_due <= adaptations_) return;
 
   const std::size_t buffer_rows = adapt_buffer_.rows();
   obs::ScopedTimer timer(obs::metrics(), "serve.adaptation_ms");
-  trainer_->observe_experience(adapt_buffer_);
+  // A window of only non-finite rows leaves nothing to train on.
+  if (buffer_rows > 0) trainer_->observe_experience(adapt_buffer_);
   // Recalibrate on the vouched clean window, never the live buffer — the
   // same argument as StreamingCndIds::adapt.
   threshold_ = eval::pot_threshold(
@@ -128,16 +132,15 @@ void ScoringService::maybe_adapt(const Matrix& batch) {
 
 namespace {
 
-// The serving hot loop: score the batch and apply the artifact's threshold,
-// all through slot-owned storage — steady state (fixed batch shape, no
-// swap) never touches the heap, takes no lock, and never sleeps.
+// The serving hot loop: score the batch and apply the artifact's threshold
+// through the fail-closed verdict rule, all through slot-owned storage —
+// steady state (fixed batch shape, no swap) never touches the heap, takes no
+// lock, and never sleeps. Returns the batch's count of non-finite flows.
 // cnd-hot cnd-wait-free
-void score_slot(core::ContinualDetector& replica, BatchResult& slot) {
+std::size_t score_slot(core::ContinualDetector& replica, BatchResult& slot) {
   replica.score_into(slot.input, slot.scores);
-  const double thr = slot.artifact->threshold;
-  slot.verdicts.resize(slot.scores.size());
-  for (std::size_t i = 0; i < slot.scores.size(); ++i)
-    slot.verdicts[i] = slot.scores[i] > thr ? 1 : 0;
+  return eval::verdicts_into(slot.input, slot.scores, slot.artifact->threshold,
+                             slot.verdicts);
 }
 
 }  // namespace
@@ -151,6 +154,7 @@ void ScoringService::worker_loop() {
   obs::Counter& batches = m.counter("serve.batches_total");
   obs::Counter& flows = m.counter("serve.flows_total");
   obs::Counter& swaps = m.counter("serve.swaps_total");
+  obs::Counter& nonfinite = m.counter("serve.nonfinite_total");
 
   while (auto slot = queue_.pop()) {
     BatchResult& b = **slot;
@@ -164,7 +168,7 @@ void ScoringService::worker_loop() {
     }
     {
       obs::ScopedTimer timer(score_ms);
-      score_slot(*replica, b);
+      nonfinite.add(score_slot(*replica, b));
     }
     batches.add(1);
     flows.add(b.scores.size());

@@ -23,6 +23,10 @@
 // false, serve.rejected_total counts it). The producer is never blocked;
 // shedding or retrying is its call.
 //
+// Fail closed: verdicts go through eval::verdicts_into, so a flow with a
+// non-finite feature or score is alarmed and counted in
+// serve.nonfinite_total, never passed as benign.
+//
 // Shard workers are dedicated std::threads, not runtime::ThreadPool lanes:
 // they block on the queue for their whole life, which would starve the
 // pool's chunk lanes. A replica's own batch scoring still runs through the
@@ -54,9 +58,10 @@ struct ServiceConfig {
   /// POT target false-alarm probability for the calibrated threshold.
   double target_fpr = 0.01;
   /// 0 = adaptation off. Otherwise an adaptation round (trainer
-  /// observe_experience on the flows admitted since the last round +
-  /// threshold recalibration on the clean window + artifact publish) runs
-  /// each time the admitted-flow count crosses a multiple of this value.
+  /// observe_experience on the flows admitted since the last round, minus
+  /// those with a non-finite feature + threshold recalibration on the clean
+  /// window + artifact publish) runs each time the admitted-flow count
+  /// crosses a multiple of this value.
   std::size_t adapt_interval_flows = 0;
   /// Free each batch's input rows once it is scored. On a million-flow soak
   /// the retained inputs would dwarf everything else; tests that assert on

@@ -253,7 +253,9 @@ void fill_zero_rows(Matrix& c, std::size_t lo, std::size_t hi) {
 void matmul_into(Matrix& c, const Matrix& a, const Matrix& b) {
   require(a.cols() == b.rows(), "matmul_into: inner dimension mismatch");  // cnd-throw-ok(precondition on caller-supplied shapes/arguments — programmer error, not traffic)
   require(&c != &a && &c != &b, "matmul_into: output aliases an input");  // cnd-throw-ok(precondition on caller-supplied shapes/arguments — programmer error, not traffic)
-  CND_DCHECK_ALL_FINITE(a, "matmul_into: lhs has non-finite elements");
+  // Only the rhs (the weights) is checked: a scored batch may carry
+  // non-finite features by design, and the fail-closed verdicts
+  // (eval::verdicts_into) alarm those flows after scoring.
   CND_DCHECK_ALL_FINITE(b, "matmul_into: rhs has non-finite elements");
   const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
   c.resize(m, n);
@@ -271,7 +273,7 @@ void matmul_into(Matrix& c, const Matrix& a, const Matrix& b) {
 void matmul_bt_into(Matrix& c, const Matrix& a, const Matrix& b) {
   require(a.cols() == b.cols(), "matmul_bt_into: inner dimension mismatch");  // cnd-throw-ok(precondition on caller-supplied shapes/arguments — programmer error, not traffic)
   require(&c != &a && &c != &b, "matmul_bt_into: output aliases an input");  // cnd-throw-ok(precondition on caller-supplied shapes/arguments — programmer error, not traffic)
-  CND_DCHECK_ALL_FINITE(a, "matmul_bt_into: lhs has non-finite elements");
+  // rhs only, as in matmul_into: the lhs may hold a scored batch's latents.
   CND_DCHECK_ALL_FINITE(b, "matmul_bt_into: rhs has non-finite elements");
   const std::size_t m = a.rows(), k = a.cols(), nb = b.rows();
   c.resize(m, nb);

@@ -4,10 +4,16 @@
 
 #include <bit>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <sstream>
 #include <thread>
 
 #include "core/detector_factory.hpp"
+#include "core/explanation.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/thread_pool.hpp"
 #include "serve/artifact.hpp"
 #include "serve/flow_record.hpp"
@@ -276,6 +282,75 @@ TEST(Snapshot, ArtifactFileRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(Snapshot, LoadArtifactRejectsAFlippedThresholdByte) {
+  Rng rng(14);
+  const Matrix n_clean = gaussian(rng, 96, 6);
+  auto det = core::make_detector("CND-IDS", tiny_cfg());
+  Matrix seed_x;
+  std::vector<int> seed_y;
+  det->setup(core::SetupContext{n_clean, seed_x, seed_y});
+  det->observe_experience(n_clean);
+  const double threshold = 155.9;
+  const std::string path = "test_artifact_flip.bin";
+  serve::save_artifact(path, *serve::make_artifact(1, "CND-IDS", threshold, *det));
+
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  char pattern[sizeof(double)];
+  std::memcpy(pattern, &threshold, sizeof(double));
+  const std::size_t at = bytes.find(std::string(pattern, sizeof(double)));
+  ASSERT_NE(at, std::string::npos);
+  // The top byte holds the sign and exponent: one bit there rescales the
+  // alarm level by orders of magnitude while the model bytes stay intact.
+  bytes[at + sizeof(double) - 1] ^= 0x01;
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  EXPECT_THROW(serve::load_artifact(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(Snapshot, LoadArtifactRejectsMissingFile) {
+  EXPECT_THROW(serve::load_artifact("no_such_artifact.bin"), std::runtime_error);
+}
+
+// `cnd restore --explain` runs on a replica: its attributions must be the
+// trainer's, for CND-IDS and for Adaptive (explained through its inner
+// CND-IDS). Detectors without an encoder and PCA head are refused.
+TEST(Snapshot, RestoredReplicaExplainsLikeItsTrainer) {
+  Rng rng(15);
+  const Matrix n_clean = gaussian(rng, 96, 6);
+  const Matrix x_test = gaussian(rng, 24, 6, 2.0);
+  for (const std::string name : {"CND-IDS", "Adaptive"}) {
+    auto det = core::make_detector(name, tiny_cfg());
+    Matrix seed_x;
+    std::vector<int> seed_y;
+    det->setup(core::SetupContext{n_clean, seed_x, seed_y});
+    det->observe_experience(n_clean);
+    const auto replica =
+        serve::restore_replica(*serve::make_artifact(1, name, 0.5, *det), tiny_cfg());
+
+    const auto want = core::explain_detector(*det, x_test, /*top_k=*/0);
+    const auto got = core::explain_detector(*replica, x_test, /*top_k=*/0);
+    ASSERT_EQ(want.size(), got.size()) << name;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(want[i].size(), got[i].size()) << name;
+      for (std::size_t k = 0; k < want[i].size(); ++k) {
+        EXPECT_EQ(want[i][k].feature, got[i][k].feature) << name;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(want[i][k].contribution),
+                  std::bit_cast<std::uint64_t>(got[i][k].contribution))
+            << name;
+      }
+    }
+  }
+  EXPECT_THROW(core::explain_detector(*core::make_detector("kNN"), x_test),
+               std::invalid_argument);
+}
+
 // ---- ScoringService ---------------------------------------------------------
 
 serve::ServiceConfig tiny_service(std::size_t shards, std::size_t adapt_every = 0) {
@@ -341,6 +416,85 @@ TEST(ScoringService, ScoresMatchTrainerWithoutAdaptation) {
 
   expect_bits_equal(want, run_service(tiny_service(1), n_clean, batches));
   expect_bits_equal(want, run_service(tiny_service(3), n_clean, batches));
+}
+
+// Rows of splice_nonfinite's output that carry a NaN, +Inf and -Inf feature.
+constexpr std::size_t kPoisonAt[] = {1, 9, 17};
+
+/// `clean` with three poisoned rows spliced in at kPoisonAt: each is a copy
+/// of the next clean row with feature k set to NaN, +Inf or -Inf.
+Matrix splice_nonfinite(const Matrix& clean) {
+  const double poison[] = {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()};
+  Matrix out(clean.rows() + 3, clean.cols());
+  for (std::size_t i = 0, src = 0, k = 0; i < out.rows(); ++i) {
+    if (k < 3 && i == kPoisonAt[k]) {
+      out.set_row(i, clean.row(src));
+      out(i, k) = poison[k];
+      ++k;
+    } else {
+      out.set_row(i, clean.row(src++));
+    }
+  }
+  return out;
+}
+
+TEST(ScoringService, NonFiniteFlowsFailClosedAndLeaveFiniteScoresIntact) {
+  Rng rng(12);
+  const Matrix n_clean = gaussian(rng, 96, 6);
+  const Matrix clean = gaussian(rng, 32, 6, 0.3);
+  const Matrix poisoned = splice_nonfinite(clean);
+
+  const obs::Counter& nonfinite = obs::metrics().counter("serve.nonfinite_total");
+  const std::uint64_t before = nonfinite.value();
+  serve::ScoringService svc(tiny_service(2));
+  svc.bootstrap(n_clean);
+  while (!svc.try_submit(poisoned)) std::this_thread::yield();
+  svc.drain();
+  svc.shutdown();
+  EXPECT_EQ(nonfinite.value() - before, 3u);
+
+  const std::vector<double> want = run_service(tiny_service(1), n_clean, {clean});
+  const serve::BatchResult& got = svc.results().front();
+  std::vector<double> finite_scores;
+  for (std::size_t i = 0, k = 0; i < poisoned.rows(); ++i) {
+    if (k < 3 && i == kPoisonAt[k]) {
+      EXPECT_EQ(got.verdicts[i], 1) << "poisoned row " << i;
+      ++k;
+      continue;
+    }
+    finite_scores.push_back(got.scores[i]);
+    EXPECT_EQ(got.verdicts[i], got.scores[i] > svc.threshold() ? 1 : 0);
+  }
+  expect_bits_equal(want, finite_scores);
+}
+
+// A non-finite flow inside an adaptation window is admitted and alarmed,
+// and the round it falls into trains on the window's finite rows and
+// publishes the next artifact version. A window with no finite row at all
+// trains nothing, and its round still completes.
+TEST(ScoringService, NonFiniteRowInsideAnAdaptationWindowStillPublishes) {
+  Rng rng(13);
+  const Matrix n_clean = gaussian(rng, 96, 6);
+  serve::ScoringService svc(tiny_service(1, 64));
+  svc.bootstrap(n_clean);
+  Matrix first = gaussian(rng, 32, 6, 0.3);
+  first(5, 2) = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(svc.try_submit(first));
+  EXPECT_TRUE(svc.try_submit(gaussian(rng, 32, 6, 0.3)));  // round 1 runs here
+  svc.drain();
+  EXPECT_EQ(svc.adaptations(), 1u);
+  EXPECT_EQ(svc.artifact_version(), 2u);
+  EXPECT_EQ(svc.results().front().verdicts[5], 1);
+
+  const Matrix all_nan(64, 6, std::numeric_limits<double>::quiet_NaN());
+  EXPECT_TRUE(svc.try_submit(all_nan));  // round 2: an empty training window
+  svc.drain();
+  svc.shutdown();
+  EXPECT_EQ(svc.adaptations(), 2u);
+  EXPECT_EQ(svc.artifact_version(), 3u);
+  for (int v : svc.results().back().verdicts) EXPECT_EQ(v, 1);
 }
 
 TEST(ScoringService, ShardCountNeverChangesScoresUnderHotSwap) {

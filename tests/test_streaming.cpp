@@ -1,8 +1,12 @@
 // Unit tests for the drift detectors and the streaming CND-IDS wrapper.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <limits>
+
 #include "core/streaming_cnd_ids.hpp"
 #include "ml/drift_detector.hpp"
+#include "obs/metrics.hpp"
 #include "tensor/rng.hpp"
 
 namespace cnd {
@@ -176,6 +180,75 @@ TEST(StreamingCndIds, DriftTriggersEarlyAdaptation) {
     adapted = mon.process_batch(shifted).adapted;
   }
   EXPECT_TRUE(adapted);
+}
+
+// Rows of splice_nonfinite's output that carry a NaN, +Inf and -Inf feature.
+constexpr std::size_t kPoisonAt[] = {1, 9, 17};
+
+/// `clean` with three poisoned rows spliced in at kPoisonAt: each is a copy
+/// of the next clean row with feature k set to NaN, +Inf or -Inf.
+Matrix splice_nonfinite(const Matrix& clean) {
+  const double poison[] = {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()};
+  Matrix out(clean.rows() + 3, clean.cols());
+  for (std::size_t i = 0, src = 0, k = 0; i < out.rows(); ++i) {
+    if (k < 3 && i == kPoisonAt[k]) {
+      out.set_row(i, clean.row(src));
+      out(i, k) = poison[k];
+      ++k;
+    } else {
+      out.set_row(i, clean.row(src++));
+    }
+  }
+  return out;
+}
+
+void expect_bits_equal(double a, double b) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
+      << a << " vs " << b;
+}
+
+TEST(StreamingCndIds, NonFiniteFlowsFailClosedAndStayOutOfAdaptation) {
+  Rng rng(12);
+  const Matrix n_clean = gaussian_batch(rng, 128, 5);
+  const Matrix clean = gaussian_batch(rng, 32, 5);
+  const Matrix poisoned = splice_nonfinite(clean);
+  core::StreamingCndIds ref(fast_stream_cfg()), mon(fast_stream_cfg());
+  ref.bootstrap(n_clean);
+  mon.bootstrap(n_clean);
+
+  const obs::Counter& nonfinite = obs::metrics().counter("stream.nonfinite_total");
+  const std::uint64_t before = nonfinite.value();
+  const auto want = ref.process_batch(clean);
+  const auto got = mon.process_batch(poisoned);
+  EXPECT_EQ(nonfinite.value() - before, 3u);
+  // The poisoned flows alarm; the finite ones score as if they were absent.
+  for (std::size_t i = 0, j = 0, k = 0; i < poisoned.rows(); ++i) {
+    if (k < 3 && i == kPoisonAt[k]) {
+      EXPECT_EQ(got.verdicts[i], 1) << "poisoned row " << i;
+      ++k;
+      continue;
+    }
+    expect_bits_equal(got.scores[i], want.scores[j]);
+    EXPECT_EQ(got.verdicts[i], want.verdicts[j]);
+    ++j;
+  }
+
+  // The poison reached neither the buffer nor the drift mean: the two
+  // monitors stay in lockstep through the next adaptation round.
+  EXPECT_EQ(mon.buffered(), ref.buffered());
+  EXPECT_EQ(got.drift_signal, want.drift_signal);
+  for (int b = 0; b < 10; ++b) {
+    const Matrix batch = gaussian_batch(rng, 32, 5, 0.5);
+    const auto r = ref.process_batch(batch);
+    const auto m = mon.process_batch(batch);
+    EXPECT_EQ(m.adapted, r.adapted);
+    for (std::size_t i = 0; i < r.scores.size(); ++i)
+      expect_bits_equal(m.scores[i], r.scores[i]);
+  }
+  EXPECT_GE(ref.adaptations(), 1u);
+  EXPECT_EQ(mon.adaptations(), ref.adaptations());
 }
 
 TEST(StreamingCndIds, RejectsBadConfig) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "eval/metrics.hpp"
 
 namespace cnd::eval {
@@ -69,6 +71,42 @@ TEST(ApplyThreshold, StrictInequality) {
   const std::vector<double> s{1.0, 2.0, 3.0};
   const auto p = apply_threshold(s, 2.0);
   EXPECT_EQ(p, (std::vector<int>{0, 0, 1}));
+}
+
+TEST(Verdicts, FiniteFlowsUseTheStrictThreshold) {
+  const Matrix x(4, 2, 0.5);
+  const std::vector<double> s{1.0, 2.0, 3.0, -1.0};
+  std::vector<int> v;
+  EXPECT_EQ(verdicts_into(x, s, 2.0, v), 0u);
+  EXPECT_EQ(v, (std::vector<int>{0, 0, 1, 0}));
+  // A threshold above every score passes all flows; one below alarms all.
+  verdicts_into(x, s, 1e12, v);
+  EXPECT_EQ(v, (std::vector<int>{0, 0, 0, 0}));
+  verdicts_into(x, s, -2.0, v);
+  EXPECT_EQ(v, (std::vector<int>{1, 1, 1, 1}));
+}
+
+TEST(Verdicts, NonFiniteFeatureOrScoreFailsClosed) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // Every row scores well below the threshold; only rows 0 and 7 are clean.
+  const Matrix x{{0, 0}, {nan, 0}, {0, inf}, {-inf, 0}, {0, 0}, {0, 0}, {0, 0}, {0, 0}};
+  const std::vector<double> s{0.1, 0.1, 0.1, 0.1, nan, inf, -inf, 0.1};
+  std::vector<int> v;
+  EXPECT_EQ(verdicts_into(x, s, 1.0, v), 6u);
+  EXPECT_EQ(v, (std::vector<int>{0, 1, 1, 1, 1, 1, 1, 0}));
+  EXPECT_TRUE(finite_flow(x.row(0), s[0]));
+  EXPECT_FALSE(finite_flow(x.row(1), s[1]));
+  EXPECT_FALSE(finite_flow(x.row(4), s[4]));
+}
+
+TEST(Verdicts, AdaptationBuffersAdmitOnlyFiniteRows) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Matrix buffer{{9, 9}};
+  append_finite_rows(buffer, Matrix{{1, 2}, {nan, 3}, {4, 5}});
+  EXPECT_EQ(buffer.rows(), 3u);
+  EXPECT_EQ(buffer(1, 0), 1.0);
+  EXPECT_EQ(buffer(2, 1), 5.0);
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
-# End-to-end smoke test of the `cnd` CLI: gen -> run -> score(+save) -> apply.
+# End-to-end smoke test of the `cnd` CLI:
+# gen -> run -> score -> snapshot -> restore --explain.
 # Invoked by ctest with -DCND_BIN=<path-to-binary>.
 if(NOT DEFINED CND_BIN)
   message(FATAL_ERROR "CND_BIN not set")
@@ -7,7 +8,7 @@ endif()
 set(work "${CMAKE_CURRENT_BINARY_DIR}/cli_smoke_work")
 file(MAKE_DIRECTORY "${work}")
 set(csv "${work}/smoke.csv")
-set(model "${work}/smoke_model.bin")
+set(artifact "${work}/smoke_artifact.cnd")
 
 function(run_step)
   execute_process(COMMAND ${ARGN} RESULT_VARIABLE rc OUTPUT_VARIABLE out
@@ -29,16 +30,29 @@ if(has_avg EQUAL -1)
   message(FATAL_ERROR "run output missing AVG metric:\n${last_out}")
 endif()
 
-run_step("${CND_BIN}" score "--train=${csv}" "--test=${csv}" --epochs=2
-         "--save-model=${model}")
-if(NOT EXISTS "${model}")
-  message(FATAL_ERROR "score did not write the model artifact")
-endif()
-
-run_step("${CND_BIN}" apply "--model=${model}" "--test=${csv}" --explain)
+run_step("${CND_BIN}" score "--train=${csv}" "--test=${csv}" --epochs=2)
 string(FIND "${last_out}" "threshold=" has_thr)
 if(has_thr EQUAL -1)
-  message(FATAL_ERROR "apply output missing threshold:\n${last_out}")
+  message(FATAL_ERROR "score output missing threshold:\n${last_out}")
+endif()
+
+run_step("${CND_BIN}" snapshot "--data=${csv}" "--out=${artifact}" --epochs=2)
+if(NOT EXISTS "${artifact}")
+  message(FATAL_ERROR "snapshot did not write the serving artifact")
+endif()
+
+run_step("${CND_BIN}" restore "--artifact=${artifact}" "--test=${csv}" --explain)
+string(FIND "${last_out}" "threshold=" has_thr)
+if(has_thr EQUAL -1)
+  message(FATAL_ERROR "restore output missing threshold:\n${last_out}")
+endif()
+# An alarmed row carries its top latent-feature attributions, e.g.
+# `17,4.210000,attack,"f3 (62%), f7 (21%), f1 (9%)"`.
+string(REGEX MATCH "\n[0-9]+,[^,\n]+,attack,\"f[0-9]+ \\([0-9]+%\\)" attributed
+       "${last_out}")
+if(NOT attributed)
+  message(FATAL_ERROR "restore --explain printed no attribution on an alarmed "
+                      "row:\n${last_out}")
 endif()
 
 message(STATUS "cli smoke test passed")

@@ -16,16 +16,10 @@
 //       description (e.g. Adaptive — drift-gated CND-IDS).
 //
 //   score --train=<csv> --test=<csv> [--quantile=0.99] [--epochs=8]
-//         [--save-model=<bin>]
 //       Train CND-IDS on the train CSV (labels ignored — the method is
 //       label-free; rows marked normal form N_c), then print one anomaly
-//       score and verdict per test row. --save-model freezes the trained
-//       scoring path into a deployable artifact.
-//
-//   apply --model=<bin> --test=<csv> [--explain]
-//       Score a test CSV with a saved artifact (no training). --explain
-//       appends the top latent-feature attributions for each alarmed row
-//       (which directions of the learned representation drove the score).
+//       score and verdict per test row. A row with a non-finite feature or
+//       score is alarmed (fail closed, docs/SERVING.md).
 //
 //   pack  --data=<csv> --out=<bin>
 //       Pack a CSV's feature columns into the binary flow-record format the
@@ -37,37 +31,38 @@
 //       the full file is the first stream), calibrate a POT threshold, and
 //       save a versioned serving artifact.
 //
-//   restore --artifact=<bin> --test=<csv>
+//   restore --artifact=<bin> --test=<csv> [--explain]
 //       Rebuild an inference-only replica from a serving artifact and score
-//       a test CSV against the artifact's threshold. Scores are
-//       byte-identical to the detector that produced the snapshot.
+//       a test CSV against the artifact's threshold (fail closed, as in
+//       score). Scores are byte-identical to the detector that produced the
+//       snapshot. --explain appends the top latent-feature attributions for
+//       each alarmed row (which directions of the learned representation
+//       drove the score); it needs a CND-IDS or Adaptive artifact.
 //
 //   serve --flows=<bin> --clean=<csv> [--detector=CND-IDS] [--shards=2]
 //         [--batch=256] [--queue=8] [--adapt-every=0] [--seed=7] [--epochs=8]
 //       Run the sharded scoring service over a packed flow-record file:
 //       bootstrap on the clean CSV's normal rows, stream the file through
 //       the admission queue, print throughput / latency / adaptation
-//       summary. Flow files are assumed preprocessed to the clean CSV's
-//       feature scale.
+//       summary, including the flows alarmed for non-finite input. Flow
+//       files are assumed preprocessed to the clean CSV's feature scale.
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <string>
 #include <thread>
 
-#include "core/cnd_ids.hpp"
 #include "core/detector_factory.hpp"
 #include "core/experience_runner.hpp"
 #include "core/explanation.hpp"
 #include "eval/robust_threshold.hpp"
-#include "eval/timer.hpp"
-#include "io/model_io.hpp"
 #include "data/csv.hpp"
 #include "data/experiences.hpp"
 #include "data/synth.hpp"
 #include "eval/threshold.hpp"
 #include "ml/scaler.hpp"
 #include "obs/metrics.hpp"
+#include "obs/scoped_timer.hpp"
 #include "serve/artifact.hpp"
 #include "serve/flow_record.hpp"
 #include "serve/service.hpp"
@@ -103,7 +98,7 @@ std::string flag(const std::map<std::string, std::string>& f, const std::string&
 
 int usage() {
   std::fprintf(stderr,
-               "usage: cnd <gen|run|score|apply|pack|snapshot|restore|serve|"
+               "usage: cnd <gen|run|score|pack|snapshot|restore|serve|"
                "detectors> [--flags]\n"
                "  gen       --dataset=x_iiotid|wustl_iiot|cicids2017|unsw_nb15 "
                "--out=FILE [--scale=0.25] [--seed=42]\n"
@@ -116,12 +111,11 @@ int usage() {
                "instead of exact neighbor search (docs/ANN.md); only LOF, "
                "kNN, CND-IDS, and Adaptive have a neighbor path\n"
                "  score     --train=FILE --test=FILE [--quantile=0.99] "
-               "[--epochs=8] [--save-model=FILE]\n"
-               "  apply     --model=FILE --test=FILE\n"
+               "[--epochs=8]\n"
                "  pack      --data=FILE --out=FILE\n"
                "  snapshot  --data=FILE --out=FILE [--detector=CND-IDS] "
                "[--seed=7] [--epochs=8] [--fpr=0.01]\n"
-               "  restore   --artifact=FILE --test=FILE\n"
+               "  restore   --artifact=FILE --test=FILE [--explain]\n"
                "  serve     --flows=FILE --clean=FILE [--detector=CND-IDS] "
                "[--shards=2] [--batch=256] [--queue=8] [--adapt-every=0] "
                "[--seed=7] [--epochs=8]\n"
@@ -246,54 +240,22 @@ int cmd_score(const std::map<std::string, std::string>& f) {
   core::DetectorConfig cfg;
   cfg.cnd.cfe.epochs =
       static_cast<std::size_t>(std::stoul(flag(f, "epochs", "8")));
-  const auto detp = core::make_detector("CND-IDS", cfg);
-  // The artifact format freezes the concrete CND-IDS scoring path (CFE +
-  // PCA), so this command needs the implementation, not just the interface.
-  auto& det = dynamic_cast<core::CndIds&>(*detp);
+  const auto det = core::make_detector("CND-IDS", cfg);
   Matrix seed_x;
   std::vector<int> seed_y;
-  det.setup(core::SetupContext{n_clean, seed_x, seed_y});
-  det.observe_experience(x_stream);
+  det->setup(core::SetupContext{n_clean, seed_x, seed_y});
+  det->observe_experience(x_stream);
 
-  const double tau = eval::quantile_threshold(det.score(n_clean), q);
+  const double tau = eval::quantile_threshold(det->score(n_clean), q);
 
-  const std::string model_path = flag(f, "save-model", "");
-  if (!model_path.empty()) {
-    io::InferenceModel(det, scaler, tau).save(model_path);
-    std::fprintf(stderr, "saved model artifact to %s\n", model_path.c_str());
-  }
-
-  const auto scores = det.score(x_test);
+  const auto scores = det->score(x_test);
+  // Verdicts read the raw features: scaling maps a constant column to 0,
+  // which would hide a NaN in it.
+  std::vector<int> verdicts;
+  eval::verdicts_into(test.x, scores, tau, verdicts);
   std::printf("# row,score,verdict  (threshold=%.6f at q=%.2f)\n", tau, q);
   for (std::size_t i = 0; i < scores.size(); ++i)
-    std::printf("%zu,%.6f,%s\n", i, scores[i],
-                scores[i] > tau ? "attack" : "normal");
-  return 0;
-}
-
-int cmd_apply(const std::map<std::string, std::string>& f) {
-  const std::string model_path = flag(f, "model", "");
-  const std::string test_path = flag(f, "test", "");
-  if (model_path.empty() || test_path.empty()) return usage();
-
-  io::InferenceModel model = io::InferenceModel::load(model_path);
-  data::Dataset test = data::load_csv(test_path, "test");
-  const auto scores = model.score(test.x);
-  const auto verdicts = model.predict(test.x);
-  const bool explain = flag(f, "explain", "") == "1";
-
-  std::vector<std::vector<core::FeatureAttribution>> attrs;
-  if (explain)
-    attrs = core::explain_fre(model.pca(), model.encode(test.x), /*top_k=*/3);
-
-  std::printf("# row,score,verdict%s  (threshold=%.6f from artifact)\n",
-              explain ? ",top_latent_features" : "", model.threshold());
-  for (std::size_t i = 0; i < scores.size(); ++i) {
-    std::printf("%zu,%.6f,%s", i, scores[i], verdicts[i] ? "attack" : "normal");
-    if (explain && verdicts[i])
-      std::printf(",\"%s\"", core::format_attribution(attrs[i]).c_str());
-    std::printf("\n");
-  }
+    std::printf("%zu,%.6f,%s\n", i, scores[i], verdicts[i] ? "attack" : "normal");
   return 0;
 }
 
@@ -380,29 +342,23 @@ int cmd_restore(const std::map<std::string, std::string>& f) {
 
   data::Dataset test = data::load_csv(test_path, "test");
   const auto scores = replica->score(test.x);
-  std::printf("# row,score,verdict  (threshold=%.6f from artifact v%llu)\n",
-              artifact.threshold,
-              static_cast<unsigned long long>(artifact.version));
-  for (std::size_t i = 0; i < scores.size(); ++i)
-    std::printf("%zu,%.6f,%s\n", i, scores[i],
-                scores[i] > artifact.threshold ? "attack" : "normal");
-  return 0;
-}
+  std::vector<int> verdicts;
+  eval::verdicts_into(test.x, scores, artifact.threshold, verdicts);
+  const bool explain = flag(f, "explain", "") == "1";
+  std::vector<std::vector<core::FeatureAttribution>> attrs;
+  if (explain) attrs = core::explain_detector(*replica, test.x, /*top_k=*/3);
 
-/// Upper bucket edge reaching q of the histogram's samples (the same
-/// estimate bench_serving reports).
-double hist_quantile(const obs::Histogram& h, double q) {
-  const std::uint64_t total = h.count();
-  if (total == 0) return 0.0;
-  const auto target =
-      static_cast<std::uint64_t>(q * static_cast<double>(total) + 0.5);
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < h.n_buckets(); ++i) {
-    cum += h.bucket_count(i);
-    if (cum >= target)
-      return h.bounds()[i < h.bounds().size() ? i : h.bounds().size() - 1];
+  std::printf("# row,score,verdict%s  (threshold=%.6f from artifact v%llu)\n",
+              explain ? ",top_latent_features" : "", artifact.threshold,
+              static_cast<unsigned long long>(artifact.version));
+  for (std::size_t i = 0; i < scores.size(); ++i) {
+    std::printf("%zu,%.6f,%s", i, scores[i], verdicts[i] ? "attack" : "normal");
+    // A non-finite flow has no meaningful attribution to print.
+    if (explain && verdicts[i] && eval::finite_flow(test.x.row(i), scores[i]))
+      std::printf(",\"%s\"", core::format_attribution(attrs[i]).c_str());
+    std::printf("\n");
   }
-  return h.bounds().back();
+  return 0;
 }
 
 int cmd_serve(const std::map<std::string, std::string>& f) {
@@ -445,7 +401,7 @@ int cmd_serve(const std::map<std::string, std::string>& f) {
   }
 
   serve::ScoringService svc(cfg);
-  eval::Timer boot_timer;
+  obs::Stopwatch boot_timer;
   svc.bootstrap(clean.x.take_rows(normal_rows));
   std::fprintf(stderr, "serve: bootstrapped %s on %zu clean rows (%.0f ms), "
                "threshold %.6g, %zu shard(s)\n",
@@ -454,7 +410,7 @@ int cmd_serve(const std::map<std::string, std::string>& f) {
 
   Matrix batch;
   std::size_t retries = 0;
-  eval::Timer soak_timer;
+  obs::Stopwatch soak_timer;
   for (std::size_t lo = 0; lo < file.rows(); lo += batch_rows) {
     file.copy_rows_into(lo, std::min(lo + batch_rows, file.rows()), batch);
     while (!svc.try_submit(batch)) {
@@ -476,7 +432,7 @@ int cmd_serve(const std::map<std::string, std::string>& f) {
   std::printf("flows/sec      %.0f\n",
               static_cast<double>(svc.flows_admitted()) / (soak_ms / 1000.0));
   std::printf("latency        p50 <= %.3g ms, p99 <= %.3g ms per batch\n",
-              hist_quantile(score_ms, 0.50), hist_quantile(score_ms, 0.99));
+              score_ms.quantile(0.50), score_ms.quantile(0.99));
   std::printf("rejected       %llu (%zu producer retries)\n",
               static_cast<unsigned long long>(svc.rejected()), retries);
   std::printf("adaptations    %llu (artifact v%llu, %llu replica swaps)\n",
@@ -486,6 +442,9 @@ int cmd_serve(const std::map<std::string, std::string>& f) {
   std::printf("alarms         %zu (rate %.4f)\n", alarms,
               static_cast<double>(alarms) /
                   static_cast<double>(svc.flows_admitted()));
+  std::printf("non-finite     %llu (alarmed, kept out of adaptation)\n",
+              static_cast<unsigned long long>(
+                  obs::metrics().counter("serve.nonfinite_total").value()));
   return 0;
 }
 
@@ -499,7 +458,6 @@ int main(int argc, char** argv) {
     if (cmd == "gen") return cmd_gen(flags);
     if (cmd == "run") return cmd_run(flags);
     if (cmd == "score") return cmd_score(flags);
-    if (cmd == "apply") return cmd_apply(flags);
     if (cmd == "pack") return cmd_pack(flags);
     if (cmd == "snapshot") return cmd_snapshot(flags);
     if (cmd == "restore") return cmd_restore(flags);
