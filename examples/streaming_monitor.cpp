@@ -1,21 +1,24 @@
 // Streaming monitor: CND-IDS without experience boundaries.
 //
 // The paper's protocol hands the model whole experiences; a real monitor
-// sees mini-batches. StreamingCndIds scores each batch immediately and
-// decides for itself when to adapt: a Page-Hinkley detector watches the
-// batch-mean anomaly score and triggers an adaptation round when the stream
-// shifts (with a buffer-size cap as a fallback). This example replays a
-// drifting CICIDS2017-like stream in 64-flow batches and logs every
-// adaptation the monitor chose to make.
+// sees mini-batches. Here serve::ScoringService scores each batch as it is
+// admitted and runs an adaptation round every 256 flows on the drift-gated
+// "Adaptive" detector: its Page-Hinkley gate decides for itself whether a
+// round's window refits the model or is skipped. This example replays a
+// drifting CICIDS2017-like stream in 64-flow batches and logs every new
+// artifact version the service published, with the gate's refits and skips.
 //
 //   ./streaming_monitor [seed]
 #include <cstdio>
 #include <cstdlib>
+#include <numeric>
+#include <thread>
 
-#include "core/streaming_cnd_ids.hpp"
 #include "data/experiences.hpp"
 #include "data/synth.hpp"
 #include "eval/metrics.hpp"
+#include "obs/metrics.hpp"
+#include "serve/service.hpp"
 
 int main(int argc, char** argv) {
   using namespace cnd;
@@ -27,48 +30,60 @@ int main(int argc, char** argv) {
   data::ExperienceSet es =
       data::prepare_experiences(ds, {.n_experiences = 5, .seed = seed});
 
-  core::StreamingConfig cfg;
-  cfg.detector.cfe.epochs = 6;
-  cfg.detector.seed = seed;
-  cfg.min_buffer_rows = 256;
-  cfg.max_buffer_rows = 768;
-  cfg.ph_delta = 0.5;   // FRE means are noisy; tolerate small wobble
-  cfg.ph_lambda = 40.0;
-  core::StreamingCndIds monitor(cfg);
+  serve::ServiceConfig cfg;
+  cfg.detector = "Adaptive";
+  cfg.detector_cfg.seed = seed;
+  cfg.detector_cfg.cnd.seed = seed;
+  cfg.detector_cfg.cnd.cfe.epochs = 6;
+  cfg.adapt_interval_flows = 256;
+  serve::ScoringService monitor(cfg);
   monitor.bootstrap(es.n_clean);
-  std::printf("bootstrapped on %zu vouched flows\n\n", es.n_clean.rows());
+  std::printf("bootstrapped on %zu vouched flows (artifact v%llu)\n\n",
+              es.n_clean.rows(),
+              static_cast<unsigned long long>(monitor.artifact_version()));
 
+  // The gate's decisions are only visible through its counters.
+  const obs::Counter& refits = obs::metrics().counter("adaptive.drift_signals_total");
+  const obs::Counter& skips = obs::metrics().counter("adaptive.skips_total");
   const std::size_t batch_rows = 64;
   std::size_t batch_no = 0;
-  eval::Confusion total;
+  std::uint64_t version = monitor.artifact_version();
+  std::vector<int> truth;
   for (const auto& exp : es.experiences) {
     // Replay this window's labeled test flows as the live stream.
     for (std::size_t start = 0; start + batch_rows <= exp.x_test.rows();
          start += batch_rows) {
-      std::vector<std::size_t> idx;
-      for (std::size_t i = 0; i < batch_rows; ++i) idx.push_back(start + i);
-      Matrix batch = exp.x_test.take_rows(idx);
-      std::vector<int> truth;
+      std::vector<std::size_t> idx(batch_rows);
+      std::iota(idx.begin(), idx.end(), start);
+      const Matrix batch = exp.x_test.take_rows(idx);
+      while (!monitor.try_submit(batch)) std::this_thread::yield();
       for (std::size_t i : idx) truth.push_back(exp.y_test[i]);
 
-      const core::StreamBatchResult r = monitor.process_batch(batch);
-      const eval::Confusion c = eval::confusion(r.verdicts, truth);
-      total.tp += c.tp;
-      total.fp += c.fp;
-      total.tn += c.tn;
-      total.fn += c.fn;
-
-      if (r.adapted)
-        std::printf("batch %4zu: ADAPTED (%s, %zu adaptations so far, "
-                    "threshold now %.2f)\n",
-                    batch_no, r.drift_signal ? "drift signal" : "buffer cap",
-                    monitor.adaptations(), r.threshold);
+      if (monitor.artifact_version() != version) {
+        version = monitor.artifact_version();
+        std::printf("batch %4zu: artifact v%llu (%llu refits, %llu skips so "
+                    "far, threshold now %.2f)\n",
+                    batch_no, static_cast<unsigned long long>(version),
+                    static_cast<unsigned long long>(refits.value()),
+                    static_cast<unsigned long long>(skips.value()),
+                    monitor.threshold());
+      }
       ++batch_no;
     }
   }
+  monitor.drain();
+  monitor.shutdown();
 
-  std::printf("\nstream replay done: %zu flows in %zu batches, %zu adaptations\n",
-              monitor.flows_seen(), batch_no, monitor.adaptations());
+  std::vector<int> verdicts;
+  for (const serve::BatchResult& r : monitor.results())
+    verdicts.insert(verdicts.end(), r.verdicts.begin(), r.verdicts.end());
+  const eval::Confusion total = eval::confusion(verdicts, truth);
+  std::printf("\nstream replay done: %llu flows in %zu batches, %llu rounds "
+              "(%llu refits, %llu skips)\n",
+              static_cast<unsigned long long>(monitor.flows_admitted()), batch_no,
+              static_cast<unsigned long long>(monitor.adaptations()),
+              static_cast<unsigned long long>(refits.value()),
+              static_cast<unsigned long long>(skips.value()));
   std::printf("online totals: precision %.3f recall %.3f F1 %.3f "
               "(label-free thresholds throughout)\n",
               eval::precision(total), eval::recall(total), eval::f1_score(total));

@@ -4,35 +4,8 @@
 #include <cmath>
 
 #include "tensor/assert.hpp"
-#include "tensor/check.hpp"
 
 namespace cnd::eval {
-
-namespace {
-
-double median_inplace(std::vector<double>& v) {
-  CND_CHECK(!v.empty(), "median_inplace: empty input");
-  const std::size_t mid = v.size() / 2;
-  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid), v.end());
-  double m = v[mid];
-  if (v.size() % 2 == 0) {
-    const auto lower =
-        std::max_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid));
-    m = 0.5 * (m + *lower);
-  }
-  return m;
-}
-
-}  // namespace
-
-double mad_threshold(std::vector<double> cal, double k) {
-  require(!cal.empty(), "mad_threshold: empty calibration");
-  require(k > 0.0, "mad_threshold: k must be > 0");
-  const double med = median_inplace(cal);
-  for (double& v : cal) v = std::abs(v - med);
-  const double mad = median_inplace(cal);
-  return med + k * 1.4826 * mad;
-}
 
 double pot_threshold(std::vector<double> cal, const PotConfig& cfg) {
   require(cal.size() >= 20, "pot_threshold: need at least 20 calibration scores");

@@ -1,7 +1,5 @@
-// Label-free threshold rules beyond the quantile baseline.
+// Label-free threshold rule beyond the quantile baseline.
 //
-// MAD: median + k * 1.4826 * MAD of the calibration scores — robust to the
-// heavy tails flow features produce.
 // POT-lite: a simplified peaks-over-threshold rule — fit an exponential tail
 // to the calibration excesses over a high quantile and place the threshold
 // at a target tail probability; the standard EVT recipe (SPOT) with the GPD
@@ -11,9 +9,6 @@
 #include <vector>
 
 namespace cnd::eval {
-
-/// median(cal) + k * 1.4826 * median(|cal - median(cal)|).
-double mad_threshold(std::vector<double> calibration_scores, double k = 3.0);
 
 struct PotConfig {
   double tail_quantile = 0.95;  ///< excesses above this quantile form the tail.

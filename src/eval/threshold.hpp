@@ -35,10 +35,10 @@ std::vector<int> apply_threshold(const std::vector<double>& scores, double thres
 bool finite_flow(std::span<const double> features, double score);
 
 /// Fail-closed verdicts: the one alarm rule of every deployed verdict site
-/// (serving shards, StreamingCndIds, `cnd score`, `cnd restore`). Flow i is
-/// row i of `x`, scored scores[i]. Its verdict is 1 when any feature or the
-/// score is non-finite, since an IDS must never pass a flow it cannot score
-/// as benign, and scores[i] > threshold otherwise. The features are checked,
+/// (serving shards, `cnd score`, `cnd restore`). Flow i is row i of `x`,
+/// scored scores[i]. Its verdict is 1 when any feature or the score is
+/// non-finite, since an IDS must never pass a flow it cannot score as
+/// benign, and scores[i] > threshold otherwise. The features are checked,
 /// not only the score, because ReLU maps NaN to 0: a NaN feature can come
 /// out of the encoder with a finite score. `out` is resized to the flow
 /// count (no allocation once it has the capacity). Returns the number of
@@ -47,8 +47,8 @@ std::size_t verdicts_into(const Matrix& x, std::span<const double> scores,
                           double threshold, std::vector<int>& out);
 
 /// Append the rows of `x` whose features are all finite to `buffer`, in
-/// order: the admission rule of the adaptation buffers, so a non-finite
-/// flow never reaches a fit.
+/// order: the admission rule of the serving adaptation buffer, so a
+/// non-finite flow never reaches a fit.
 void append_finite_rows(Matrix& buffer, const Matrix& x);
 
 }  // namespace cnd::eval

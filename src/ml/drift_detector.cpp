@@ -1,7 +1,6 @@
 #include "ml/drift_detector.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "tensor/assert.hpp"
 
@@ -14,7 +13,7 @@ PageHinkley::PageHinkley(double delta, double lambda, std::size_t min_samples)
 }
 
 // One observation of the Page-Hinkley statistic: pure arithmetic, sits on
-// the adaptive/streaming drift gates that run per incoming chunk.
+// the adaptive drift gate that runs per incoming chunk.
 // cnd-hot
 bool PageHinkley::update(double value) {
   ++n_;
@@ -33,47 +32,6 @@ void PageHinkley::reset() {
   mean_ = 0.0;
   mt_ = 0.0;
   min_mt_ = 0.0;
-}
-
-WindowShiftDetector::WindowShiftDetector(std::size_t window, double threshold)
-    : window_(window), threshold_(threshold) {
-  require(window >= 8, "WindowShiftDetector: window too small");
-  require(threshold > 0.0, "WindowShiftDetector: threshold must be > 0");
-}
-
-// cnd-alloc-ok(two-window deque is this detector's state; hot gates use PageHinkley)
-bool WindowShiftDetector::update(double value) {
-  ++n_;
-  buf_.push_back(value);
-  if (buf_.size() > 2 * window_) buf_.pop_front();
-  if (buf_.size() < 2 * window_) return false;
-
-  double m_old = 0.0, m_new = 0.0;
-  for (std::size_t i = 0; i < window_; ++i) {
-    m_old += buf_[i];
-    m_new += buf_[window_ + i];
-  }
-  m_old /= static_cast<double>(window_);
-  m_new /= static_cast<double>(window_);
-
-  double var = 0.0;
-  for (std::size_t i = 0; i < window_; ++i) {
-    var += (buf_[i] - m_old) * (buf_[i] - m_old);
-    var += (buf_[window_ + i] - m_new) * (buf_[window_ + i] - m_new);
-  }
-  var /= static_cast<double>(2 * window_ - 2);
-  const double se = std::sqrt(std::max(var, 1e-12) * 2.0 /
-                              static_cast<double>(window_));
-  if (std::abs(m_new - m_old) > threshold_ * se) {
-    reset();
-    return true;
-  }
-  return false;
-}
-
-void WindowShiftDetector::reset() {
-  n_ = 0;
-  buf_.clear();
 }
 
 }  // namespace cnd::ml

@@ -1,12 +1,11 @@
-// Online drift detectors over univariate statistics (e.g. anomaly-score
-// streams): Page-Hinkley and a sliding-window mean-shift test.
+// Page-Hinkley test for an upward shift in the mean of a univariate stream
+// (e.g. anomaly scores).
 //
-// Used by the streaming CND-IDS wrapper to decide *when* to trigger an
-// adaptation round instead of adapting on a fixed window schedule.
+// The drift gate of AdaptiveCndIds: it decides *when* a training stream
+// refits the model instead of refitting on every one.
 #pragma once
 
 #include <cstddef>
-#include <deque>
 
 namespace cnd::ml {
 
@@ -51,25 +50,6 @@ class PageHinkley {
   double mean_ = 0.0;
   double mt_ = 0.0;      ///< cumulative deviation.
   double min_mt_ = 0.0;  ///< running minimum of mt.
-};
-
-/// Two-window mean-shift detector: compares the mean of the most recent
-/// `window` values against the mean of the `window` values before them and
-/// alarms when they differ by more than `threshold` pooled standard
-/// deviations. A pragmatic stand-in for ADWIN at fixed memory.
-class WindowShiftDetector {
- public:
-  explicit WindowShiftDetector(std::size_t window = 64, double threshold = 3.0);
-
-  bool update(double value);
-  void reset();
-  std::size_t n_seen() const { return n_; }
-
- private:
-  std::size_t window_;
-  double threshold_;
-  std::size_t n_ = 0;
-  std::deque<double> buf_;  ///< at most 2 * window values.
 };
 
 }  // namespace cnd::ml

@@ -8,6 +8,7 @@
 #include "obs/metrics.hpp"
 #include "obs/scoped_timer.hpp"
 #include "tensor/assert.hpp"
+#include "tensor/check.hpp"
 
 namespace cnd::serve {
 
@@ -29,6 +30,12 @@ void ScoringService::bootstrap(const Matrix& n_clean) {
   if (trainer_)
     throw std::logic_error("ScoringService::bootstrap: already bootstrapped");
   require(n_clean.rows() >= 32, "ScoringService::bootstrap: clean window too small");
+  // The clean window is fitted, not scored: a non-finite feature in it
+  // would poison the PCA covariance instead of failing closed.
+  for (std::size_t i = 0; i < n_clean.rows(); ++i)
+    if (!check::all_finite(n_clean.row(i)))
+      throw std::invalid_argument("ScoringService::bootstrap: clean window row " +
+                                  std::to_string(i) + " has a non-finite feature");
   n_clean_ = n_clean;
   trainer_ = core::make_detector(cfg_.detector, cfg_.detector_cfg);
   if (!trainer_->supports_snapshot())
@@ -37,12 +44,9 @@ void ScoringService::bootstrap(const Matrix& n_clean) {
   Matrix seed_x;
   std::vector<int> seed_y;
   trainer_->setup(core::SetupContext{n_clean_, seed_x, seed_y});
-  // Bootstrap round: the clean window doubles as the first training stream
-  // (same protocol as StreamingCndIds::bootstrap).
+  // Bootstrap round: the clean window doubles as the first training stream.
   trainer_->observe_experience(n_clean_);
-  threshold_ = eval::pot_threshold(
-      trainer_->score(n_clean_),
-      {.tail_quantile = 0.9, .target_prob = cfg_.target_fpr});
+  calibrate();
   publish();
 
   running_ = true;
@@ -55,6 +59,12 @@ void ScoringService::bootstrap(const Matrix& n_clean) {
   obs::events().emit("serve.bootstrap", {{"clean_rows", n_clean.rows()},
                                          {"shards", cfg_.shards},
                                          {"threshold", threshold_}});
+}
+
+void ScoringService::calibrate() {
+  threshold_ = eval::pot_threshold(
+      trainer_->score(n_clean_),
+      {.tail_quantile = 0.9, .target_prob = cfg_.target_fpr});
 }
 
 void ScoringService::publish() {
@@ -111,11 +121,7 @@ void ScoringService::maybe_adapt(const Matrix& batch) {
   obs::ScopedTimer timer(obs::metrics(), "serve.adaptation_ms");
   // A window of only non-finite rows leaves nothing to train on.
   if (buffer_rows > 0) trainer_->observe_experience(adapt_buffer_);
-  // Recalibrate on the vouched clean window, never the live buffer — the
-  // same argument as StreamingCndIds::adapt.
-  threshold_ = eval::pot_threshold(
-      trainer_->score(n_clean_),
-      {.tail_quantile = 0.9, .target_prob = cfg_.target_fpr});
+  calibrate();
   adapt_buffer_ = Matrix();
   publish();
   ++adaptations_;
@@ -172,7 +178,7 @@ void ScoringService::worker_loop() {
     }
     batches.add(1);
     flows.add(b.scores.size());
-    if (cfg_.release_scored_inputs) b.input = Matrix();
+    b.input = Matrix();
     {
       runtime::MutexLock lock(pending_mu_);
       --pending_;

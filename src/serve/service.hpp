@@ -1,5 +1,11 @@
-// Sharded scoring service — StreamingCndIds promoted to a production shape
-// (docs/SERVING.md).
+// Sharded scoring service: the one deployment loop (docs/SERVING.md).
+//
+// The paper adapts at experience boundaries a deployed monitor never sees.
+// Here the admitted-flow count is the trigger: every adapt_interval_flows
+// flows, the trainer observes the window admitted since the last round.
+// Drift-gated adaptation is the same loop serving detector "Adaptive",
+// whose Page-Hinkley gate decides inside observe_experience whether the
+// window refits the model or is skipped.
 //
 // Topology: one producer thread (the caller of try_submit) feeds a bounded
 // admission queue; N shard workers pop batches and score them against an
@@ -63,17 +69,15 @@ struct ServiceConfig {
   /// window + artifact publish) runs each time the admitted-flow count
   /// crosses a multiple of this value.
   std::size_t adapt_interval_flows = 0;
-  /// Free each batch's input rows once it is scored. On a million-flow soak
-  /// the retained inputs would dwarf everything else; tests that assert on
-  /// BatchResult::input after drain() turn this off.
-  bool release_scored_inputs = true;
 
   /// Throws std::invalid_argument naming the offending field.
   void validate() const;
 };
 
 /// One admitted batch: the input rows, the artifact version that must score
-/// them, and the worker-filled outputs.
+/// them, and the worker-filled outputs. The worker frees the input once the
+/// batch is scored: on a million-flow soak the retained inputs would dwarf
+/// everything else.
 struct BatchResult {
   Matrix input;
   std::shared_ptr<const ServingArtifact> artifact;
@@ -93,7 +97,8 @@ class ScoringService {
 
   /// Train the trainer on the operator-vouched clean window, calibrate the
   /// threshold, publish artifact v1, and start the shard workers. Must be
-  /// called exactly once before try_submit.
+  /// called exactly once before try_submit. A clean window with a
+  /// non-finite feature throws std::invalid_argument naming the row.
   void bootstrap(const Matrix& n_clean);
 
   /// Admit one batch for scoring. Returns false (and counts the rejection)
@@ -124,6 +129,10 @@ class ScoringService {
   void worker_loop();
   /// Buffer admitted flows and run the adaptation round when due.
   void maybe_adapt(const Matrix& batch);
+  /// Set threshold_ by POT on the trainer's clean-window scores: at
+  /// bootstrap and after every round, never on the live buffer, which an
+  /// attack wave can dominate.
+  void calibrate();
   /// Snapshot the trainer into artifact version_ + 1.
   void publish();
 

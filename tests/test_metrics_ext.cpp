@@ -55,24 +55,6 @@ TEST(DetectionDelay, FindsFirstAlarm) {
   EXPECT_THROW(detection_delay(s, 0.5, 9), std::invalid_argument);
 }
 
-TEST(MadThreshold, RobustToOutliers) {
-  // 100 scores at ~1.0 plus a wild outlier: the MAD threshold must stay
-  // near the bulk (a stddev-based rule would be dragged up).
-  std::vector<double> cal(100, 1.0);
-  for (std::size_t i = 0; i < cal.size(); ++i)
-    cal[i] += 0.01 * static_cast<double>(i % 10);
-  cal.push_back(1e6);
-  const double t = mad_threshold(cal, 3.0);
-  EXPECT_LT(t, 2.0);
-  EXPECT_GT(t, 1.0);
-}
-
-TEST(MadThreshold, ScalesWithK) {
-  std::vector<double> cal{1, 2, 3, 4, 5, 6, 7, 8, 9};
-  EXPECT_LT(mad_threshold(cal, 1.0), mad_threshold(cal, 5.0));
-  EXPECT_THROW(mad_threshold({}, 3.0), std::invalid_argument);
-}
-
 TEST(PotThreshold, CalibratesTailProbability) {
   // Exponential(1) scores: P(X > t) = exp(-t), so the 1e-3 threshold should
   // land near -ln(1e-3) ~ 6.9.

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/detector_factory.hpp"
-#include "core/streaming_cnd_ids.hpp"
 #include "data/synth.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
@@ -351,86 +350,6 @@ TEST(ConfigValidation, CndIdsRejectsBadFields) {
 
   c = {};
   EXPECT_NO_THROW(c.validate());
-}
-
-TEST(ConfigValidation, StreamingRejectsBadFieldsWithLayerPrefix) {
-  core::StreamingConfig c;
-  c.min_buffer_rows = 8;
-  EXPECT_THROW(c.validate(), std::invalid_argument);
-  EXPECT_THROW(core::StreamingCndIds{c}, std::invalid_argument);
-
-  c = {};
-  c.detector.cfe.epochs = 0;
-  try {
-    c.validate();
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("detector."), std::string::npos);
-  }
-
-  c = {};
-  EXPECT_NO_THROW(c.validate());
-}
-
-// ---- Streaming instrumentation ---------------------------------------------
-
-core::StreamingConfig fast_stream_cfg() {
-  core::StreamingConfig cfg;
-  cfg.detector.cfe.hidden_dim = 32;
-  cfg.detector.cfe.latent_dim = 16;
-  cfg.detector.cfe.epochs = 3;
-  cfg.detector.cfe.kmeans_k = 3;
-  cfg.min_buffer_rows = 64;
-  cfg.max_buffer_rows = 256;
-  return cfg;
-}
-
-TEST(StreamingObs, RejectsColumnMismatchAgainstBootstrapWindow) {
-  core::StreamingCndIds mon(fast_stream_cfg());
-  Rng rng(11);
-  Matrix clean(64, 6);
-  for (std::size_t i = 0; i < clean.rows(); ++i)
-    for (std::size_t j = 0; j < clean.cols(); ++j)
-      clean(i, j) = rng.normal(0.0, 1.0);
-  mon.bootstrap(clean);
-
-  Matrix wrong(8, 7);
-  EXPECT_THROW(mon.process_batch(wrong), std::invalid_argument);
-}
-
-TEST(StreamingObs, EmitsAdaptationEvent) {
-  ObsGuard guard;
-  auto sink = std::make_shared<obs::MemorySink>();
-  obs::events().set_sink(sink);
-
-  core::StreamingCndIds mon(fast_stream_cfg());
-  Rng rng(12);
-  Matrix clean(64, 6);
-  for (std::size_t i = 0; i < clean.rows(); ++i)
-    for (std::size_t j = 0; j < clean.cols(); ++j)
-      clean(i, j) = rng.normal(0.0, 1.0);
-  mon.bootstrap(clean);
-
-  // Feed batches until the buffer cap forces one adaptation round.
-  bool adapted = false;
-  for (int b = 0; b < 10 && !adapted; ++b) {
-    Matrix batch(32, 6);
-    for (std::size_t i = 0; i < batch.rows(); ++i)
-      for (std::size_t j = 0; j < batch.cols(); ++j)
-        batch(i, j) = rng.normal(0.0, 1.0);
-    adapted = mon.process_batch(batch).adapted;
-  }
-  obs::events().set_sink(nullptr);
-  ASSERT_TRUE(adapted);
-
-  bool saw_bootstrap = false, saw_adaptation = false;
-  for (const auto& l : sink->lines()) {
-    saw_bootstrap |= l.find("\"event\":\"stream.bootstrap\"") != std::string::npos;
-    saw_adaptation |=
-        l.find("\"event\":\"stream.adaptation\"") != std::string::npos;
-  }
-  EXPECT_TRUE(saw_bootstrap);
-  EXPECT_TRUE(saw_adaptation);
 }
 
 // ---- Thread pool instrumentation -------------------------------------------

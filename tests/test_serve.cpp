@@ -13,6 +13,7 @@
 
 #include "core/detector_factory.hpp"
 #include "core/explanation.hpp"
+#include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/thread_pool.hpp"
 #include "serve/artifact.hpp"
@@ -353,20 +354,84 @@ TEST(Snapshot, RestoredReplicaExplainsLikeItsTrainer) {
 
 // ---- ScoringService ---------------------------------------------------------
 
-serve::ServiceConfig tiny_service(std::size_t shards, std::size_t adapt_every = 0) {
+serve::ServiceConfig tiny_service(std::size_t shards, std::size_t adapt_every = 0,
+                                  const std::string& detector = "CND-IDS") {
   serve::ServiceConfig cfg;
-  cfg.detector = "CND-IDS";
+  cfg.detector = detector;
   cfg.detector_cfg = tiny_cfg();
   cfg.shards = shards;
   cfg.queue_capacity = 4;
   cfg.adapt_interval_flows = adapt_every;
-  cfg.release_scored_inputs = false;
   return cfg;
 }
 
 TEST(ScoringService, SubmitBeforeBootstrapThrows) {
   serve::ScoringService svc(tiny_service(1));
   EXPECT_THROW(svc.try_submit(Matrix(4, 6, 0.0)), std::logic_error);
+}
+
+TEST(ScoringService, ValidateRejectsBadConfig) {
+  const auto rejects = [](const auto& mutate) {
+    serve::ServiceConfig cfg = tiny_service(1);
+    mutate(cfg);
+    EXPECT_THROW(cfg.validate(), std::invalid_argument);
+    EXPECT_THROW(serve::ScoringService{cfg}, std::invalid_argument);
+  };
+  rejects([](serve::ServiceConfig& c) { c.shards = 0; });
+  rejects([](serve::ServiceConfig& c) { c.queue_capacity = 0; });
+  rejects([](serve::ServiceConfig& c) { c.target_fpr = 0.0; });
+  rejects([](serve::ServiceConfig& c) { c.target_fpr = 0.05; });
+  rejects([](serve::ServiceConfig& c) { c.target_fpr = -0.01; });
+  rejects([](serve::ServiceConfig& c) { c.detector.clear(); });
+  EXPECT_NO_THROW(tiny_service(1).validate());
+}
+
+TEST(ScoringService, BootstrapRejectsNonFiniteCleanWindow) {
+  Rng rng(16);
+  Matrix n_clean = gaussian(rng, 96, 6);
+  n_clean(3, 0) = std::numeric_limits<double>::quiet_NaN();
+  serve::ScoringService svc(tiny_service(1));
+  try {
+    svc.bootstrap(n_clean);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("clean window row 3 has a non-finite feature"),
+              std::string::npos)
+        << e.what();
+  }
+  // Nothing was trained or started: the service is still unbootstrapped.
+  EXPECT_THROW(svc.try_submit(Matrix(4, 6, 0.0)), std::logic_error);
+}
+
+TEST(ScoringService, RejectsBatchWidthDifferentFromCleanWindow) {
+  Rng rng(11);
+  serve::ScoringService svc(tiny_service(1));
+  svc.bootstrap(gaussian(rng, 64, 6));
+  EXPECT_THROW(svc.try_submit(Matrix(8, 7, 0.0)), std::invalid_argument);
+  EXPECT_EQ(svc.flows_admitted(), 0u);
+  EXPECT_TRUE(svc.results().empty());
+}
+
+TEST(ScoringService, EmitsBootstrapAndAdaptationEvents) {
+  auto sink = std::make_shared<obs::MemorySink>();
+  obs::events().set_sink(sink);
+  Rng rng(17);
+  {
+    serve::ScoringService svc(tiny_service(1, 64));
+    svc.bootstrap(gaussian(rng, 64, 6));
+    for (int b = 0; b < 2; ++b) EXPECT_TRUE(svc.try_submit(gaussian(rng, 32, 6)));
+    svc.drain();
+    EXPECT_EQ(svc.adaptations(), 1u);
+  }
+  obs::events().set_sink(nullptr);
+
+  bool saw_bootstrap = false, saw_adaptation = false;
+  for (const auto& l : sink->lines()) {
+    saw_bootstrap |= l.find("\"event\":\"serve.bootstrap\"") != std::string::npos;
+    saw_adaptation |= l.find("\"event\":\"serve.adaptation\"") != std::string::npos;
+  }
+  EXPECT_TRUE(saw_bootstrap);
+  EXPECT_TRUE(saw_adaptation);
 }
 
 TEST(ScoringService, RejectsNonSnapshotDetector) {
@@ -393,6 +458,35 @@ std::vector<double> run_service(const serve::ServiceConfig& cfg,
   for (const auto& r : svc.results())
     scores.insert(scores.end(), r.scores.begin(), r.scores.end());
   return scores;
+}
+
+// With adaptation off the threshold stays the one calibrated on the clean
+// window: normal flows mostly pass and an attack wave mostly alarms.
+TEST(ScoringService, AttackWaveRaisesAlarmRate) {
+  Rng rng(8);
+  const Matrix n_clean = gaussian(rng, 192, 5);
+  std::vector<Matrix> batches;
+  for (int b = 0; b < 4; ++b) batches.push_back(gaussian(rng, 48, 5));
+  for (int b = 0; b < 4; ++b) {
+    // Attack wave: large shift across several features.
+    Matrix wave = gaussian(rng, 48, 5);
+    for (std::size_t i = 0; i < wave.rows(); ++i)
+      for (std::size_t j = 0; j < 3; ++j) wave(i, j) += 9.0;
+    batches.push_back(std::move(wave));
+  }
+  serve::ScoringService svc(tiny_service(2));
+  svc.bootstrap(n_clean);
+  for (const Matrix& b : batches)
+    while (!svc.try_submit(b)) std::this_thread::yield();
+  svc.drain();
+  svc.shutdown();
+
+  std::size_t normal_alarms = 0, attack_alarms = 0;
+  for (std::size_t b = 0; b < svc.results().size(); ++b)
+    for (int v : svc.results()[b].verdicts)
+      (b < 4 ? normal_alarms : attack_alarms) += static_cast<std::size_t>(v);
+  EXPECT_LT(static_cast<double>(normal_alarms) / (4.0 * 48.0), 0.2);
+  EXPECT_GT(static_cast<double>(attack_alarms) / (4.0 * 48.0), 0.6);
 }
 
 TEST(ScoringService, ScoresMatchTrainerWithoutAdaptation) {
@@ -497,16 +591,48 @@ TEST(ScoringService, NonFiniteRowInsideAnAdaptationWindowStillPublishes) {
   for (int v : svc.results().back().verdicts) EXPECT_EQ(v, 1);
 }
 
+// The rows of a window that carry a non-finite feature never reach the
+// round's fit: a window with three of them spliced in trains the same model
+// and calibrates the same threshold as the window without them. Both
+// services cross the 64-flow boundary on their second batch.
+TEST(ScoringService, NonFiniteRowsStayOutOfTheAdaptationWindow) {
+  Rng rng(18);
+  const Matrix n_clean = gaussian(rng, 96, 6);
+  const Matrix first = gaussian(rng, 32, 6, 0.5);
+  const Matrix second = gaussian(rng, 32, 6, 0.5);
+  const Matrix third = gaussian(rng, 32, 6, 0.5);
+  const auto published = [&](const Matrix& window_head) {
+    serve::ScoringService svc(tiny_service(1, 64));
+    svc.bootstrap(n_clean);
+    for (const Matrix* b : {&window_head, &second, &third})
+      EXPECT_TRUE(svc.try_submit(*b));
+    svc.drain();
+    svc.shutdown();
+    EXPECT_EQ(svc.adaptations(), 1u);
+    return svc.results().back().artifact;  // v2, published by the round
+  };
+  const auto want = published(first);
+  const auto got = published(splice_nonfinite(first));
+  EXPECT_EQ(want->version, 2u);
+  EXPECT_EQ(got->version, 2u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(want->threshold),
+            std::bit_cast<std::uint64_t>(got->threshold));
+  EXPECT_EQ(want->model_bytes, got->model_bytes);
+}
+
 TEST(ScoringService, ShardCountNeverChangesScoresUnderHotSwap) {
   Rng rng(8);
   const Matrix n_clean = gaussian(rng, 96, 6);
   std::vector<Matrix> batches;
   for (int b = 0; b < 10; ++b) batches.push_back(gaussian(rng, 32, 6, 0.5));
 
-  // Adaptation every 96 admitted flows: several hot swaps mid-stream.
-  const auto one = run_service(tiny_service(1, 96), n_clean, batches);
-  const auto four = run_service(tiny_service(4, 96), n_clean, batches);
-  expect_bits_equal(one, four);
+  // Adaptation every 96 admitted flows: several hot swaps mid-stream. The
+  // drift-gated detector serves through the same rounds.
+  for (const std::string name : {"CND-IDS", "Adaptive"}) {
+    const auto one = run_service(tiny_service(1, 96, name), n_clean, batches);
+    const auto four = run_service(tiny_service(4, 96, name), n_clean, batches);
+    expect_bits_equal(one, four);
+  }
 }
 
 TEST(ScoringService, AdaptationPublishesNewVersionsAndSwapsReplicas) {
@@ -541,7 +667,6 @@ TEST(ScoringService, HotSwapUnderLoadIsRaceFree) {
   const Matrix n_clean = gaussian(rng, 96, 6);
   serve::ServiceConfig cfg = tiny_service(4, 128);
   cfg.queue_capacity = 2;
-  cfg.release_scored_inputs = true;
   serve::ScoringService svc(cfg);
   svc.bootstrap(n_clean);
   std::size_t rejected_retries = 0;

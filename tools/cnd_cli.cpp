@@ -46,6 +46,8 @@
 //       the admission queue, print throughput / latency / adaptation
 //       summary, including the flows alarmed for non-finite input. Flow
 //       files are assumed preprocessed to the clean CSV's feature scale.
+//       --detector=Adaptive with --adapt-every serves drift-gated
+//       adaptation: each round's window refits only when the gate fires.
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -273,9 +275,10 @@ int cmd_pack(const std::map<std::string, std::string>& f) {
   return 0;
 }
 
-/// Train a snapshot-capable registry detector the way `cnd score` trains
-/// CND-IDS: normal rows form N_c, the full (unlabeled) file is the first
-/// stream. Shared by `cnd snapshot` and `cnd serve`'s bootstrap.
+/// Train a snapshot-capable registry detector for `cnd snapshot` the way
+/// `cnd score` trains CND-IDS: normal rows form N_c, the full (unlabeled)
+/// file is the first stream. `cnd serve` trains through
+/// ScoringService::bootstrap instead, whose first stream is N_c itself.
 std::unique_ptr<core::ContinualDetector> train_for_serving(
     const data::Dataset& train, const std::string& detector,
     const core::DetectorConfig& cfg, Matrix& n_clean_out) {
