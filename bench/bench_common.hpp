@@ -7,6 +7,7 @@
 // the working directory.
 #pragma once
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -145,8 +146,8 @@ inline BenchOptions parse_options(int argc, char** argv) {
     const std::string a = argv[i];
     if (a.rfind("--scale=", 0) == 0) {
       o.size_scale = detail::parse_double_flag(a, 8);
-      if (o.size_scale <= 0.0)
-        throw std::invalid_argument("bench: --scale must be > 0");
+      if (!std::isfinite(o.size_scale) || o.size_scale <= 0.0)
+        throw std::invalid_argument("bench: --scale must be finite and > 0");
     }
     if (a.rfind("--seed=", 0) == 0) o.seed = detail::parse_uint_flag(a, 7);
     if (a.rfind("--threads=", 0) == 0) {

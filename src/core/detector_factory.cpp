@@ -1,10 +1,10 @@
 #include "core/detector_factory.hpp"
 
+#include <functional>
 #include <map>
 #include <stdexcept>
 #include <utility>
 
-#include "runtime/annotated_mutex.hpp"
 #include "tensor/rng.hpp"
 
 namespace cnd::core {
@@ -54,16 +54,17 @@ class FrozenScorer final : public ContinualDetector {
   bool fitted_ = false;
 };
 
+using DetectorFactory =
+    std::function<std::unique_ptr<ContinualDetector>(const DetectorConfig&)>;
+
 struct Entry {
   DetectorKind kind;
   DetectorFactory factory;
   std::string description;
 };
 
-struct Registry {
-  runtime::AnnotatedMutex mutex;
-  std::map<std::string, Entry> entries CND_GUARDED_BY(mutex);
-};
+/// Keyed by CSV name.
+using Registry = std::map<std::string, Entry>;
 
 /// Wrap a detector object in a FrozenScorer; the object lives in a
 /// shared_ptr captured by both closures.
@@ -77,10 +78,11 @@ std::unique_ptr<ContinualDetector> frozen(const std::string& name,
       [ptr](const Matrix& x) { return ptr->score(x); });
 }
 
-void register_builtins(Registry& r) CND_REQUIRES(r.mutex) {
+Registry builtin_registry() {
+  Registry r;
   auto add = [&](const std::string& name, DetectorKind kind, DetectorFactory f,
                  std::string description) {
-    r.entries.emplace(name, Entry{kind, std::move(f), std::move(description)});
+    r.emplace(name, Entry{kind, std::move(f), std::move(description)});
   };
 
   // Continual detectors.
@@ -163,31 +165,25 @@ void register_builtins(Registry& r) CND_REQUIRES(r.mutex) {
                   [](ml::OcSvm& d, const Matrix& x) { d.fit(x); });
   },
       "static outlier: one-class SVM, fit on the first stream");
+  return r;
 }
 
-Registry& registry() {
-  static Registry* r = [] {
-    auto* reg = new Registry();  // never destroyed: usable during teardown
-    runtime::MutexLock lk(reg->mutex);  // other threads exist before first use
-    register_builtins(*reg);
-    return reg;
-  }();
+/// Built once, on first use (a thread-safe static initialisation), and
+/// never written again, so concurrent lookups need no lock. Never
+/// destroyed: usable during teardown.
+const Registry& registry() {
+  static const Registry* r = new Registry(builtin_registry());
   return *r;
 }
 
-// Caller must hold r.mutex (so this must not re-lock via detector_names()).
-[[noreturn]] void throw_unknown(const Registry& r, const std::string& name)
-    CND_REQUIRES(r.mutex) {
-  std::string msg = "unknown detector '" + name + "'; registered:";
-  for (const auto& [n, entry] : r.entries) msg += " " + n;
-  throw std::invalid_argument(msg);
-}
-
-Entry lookup(const std::string& name) {
-  Registry& r = registry();
-  runtime::MutexLock lk(r.mutex);
-  const auto it = r.entries.find(name);
-  if (it == r.entries.end()) throw_unknown(r, name);
+const Entry& lookup(const std::string& name) {
+  const Registry& r = registry();
+  const auto it = r.find(name);
+  if (it == r.end()) {
+    std::string msg = "unknown detector '" + name + "'; registered:";
+    for (const auto& [n, entry] : r) msg += " " + n;
+    throw std::invalid_argument(msg);
+  }
   return it->second;
 }
 
@@ -207,26 +203,16 @@ std::string detector_description(const std::string& name) {
 }
 
 std::vector<std::string> detector_names() {
-  Registry& r = registry();
-  runtime::MutexLock lk(r.mutex);
+  const Registry& r = registry();
   std::vector<std::string> names;
-  names.reserve(r.entries.size());
-  for (const auto& [name, entry] : r.entries) names.push_back(name);
+  names.reserve(r.size());
+  for (const auto& [name, entry] : r) names.push_back(name);
   return names;  // std::map iteration order is already sorted
-}
-
-bool register_detector(const std::string& name, DetectorKind kind,
-                       DetectorFactory factory, std::string description) {
-  Registry& r = registry();
-  runtime::MutexLock lk(r.mutex);
-  const bool replaced = r.entries.count(name) > 0;
-  r.entries[name] = Entry{kind, std::move(factory), std::move(description)};
-  return replaced;
 }
 
 RunResult run_detector(const std::string& name, const DetectorConfig& cfg,
                        const data::ExperienceSet& es, const RunConfig& rc) {
-  const Entry entry = lookup(name);
+  const Entry& entry = lookup(name);
   std::unique_ptr<ContinualDetector> det = entry.factory(cfg);
   if (entry.kind == DetectorKind::kContinual)
     return run_protocol(*det, es, rc);

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -76,9 +75,6 @@ enum class DetectorKind {
   kStaticOutlier,  ///< fit once on the first observed stream, frozen.
 };
 
-using DetectorFactory =
-    std::function<std::unique_ptr<ContinualDetector>(const DetectorConfig&)>;
-
 /// Construct a registered detector by its CSV name. Throws
 /// std::invalid_argument for an unknown name (the message lists every
 /// registered name).
@@ -94,11 +90,6 @@ std::vector<std::string> detector_names();
 /// One-line human description of a registered detector (shown by
 /// `cnd detectors`); throws std::invalid_argument when unknown.
 std::string detector_description(const std::string& name);
-
-/// Add (or replace) a registry entry. Returns true when a previous entry
-/// with the same name was replaced. Thread-safe.
-bool register_detector(const std::string& name, DetectorKind kind,
-                       DetectorFactory factory, std::string description = "");
 
 /// Construct `name` and drive it through the evaluation protocol:
 /// continual detectors through run_protocol, static ones through a

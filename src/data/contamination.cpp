@@ -27,18 +27,4 @@ Matrix contaminate(const Matrix& clean, const Matrix& attacks, double frac,
   return out;
 }
 
-std::vector<int> flip_labels(const std::vector<int>& y, double frac, Rng& rng) {
-  require(frac >= 0.0 && frac <= 1.0, "flip_labels: frac out of [0,1]");
-  std::vector<int> out = y;
-  const auto n_flip = static_cast<std::size_t>(
-      std::floor(frac * static_cast<double>(y.size())));
-  auto victims = rng.permutation(y.size());
-  victims.resize(n_flip);
-  for (std::size_t v : victims) {
-    require(out[v] == 0 || out[v] == 1, "flip_labels: labels must be 0/1");
-    out[v] = 1 - out[v];
-  }
-  return out;
-}
-
 }  // namespace cnd::data

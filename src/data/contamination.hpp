@@ -1,10 +1,9 @@
-// Contamination and label-noise injection for failure-mode experiments.
+// Contamination injection for failure-mode experiments.
 //
 // The paper's protocol assumes N_c is perfectly clean. Real operators
-// vouching for "normal" windows are sometimes wrong; these helpers
-// deliberately poison a clean matrix with attack rows (contaminate) or flip
-// labels (label_noise) so tests and benches can measure how gracefully each
-// method degrades.
+// vouching for "normal" windows are sometimes wrong; contaminate()
+// deliberately poisons a clean matrix with attack rows so tests and benches
+// can measure how gracefully each method degrades.
 #pragma once
 
 #include <cstdint>
@@ -20,8 +19,5 @@ namespace cnd::data {
 /// receives the replaced indices.
 Matrix contaminate(const Matrix& clean, const Matrix& attacks, double frac,
                    Rng& rng, std::vector<std::size_t>* poisoned_rows = nullptr);
-
-/// Flip a `frac` fraction of binary labels in place-on-a-copy.
-std::vector<int> flip_labels(const std::vector<int>& y, double frac, Rng& rng);
 
 }  // namespace cnd::data

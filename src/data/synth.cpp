@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <limits>
+#include <stdexcept>
 
 #include "data/flow_generator.hpp"
 #include "tensor/assert.hpp"
@@ -142,8 +145,21 @@ Dataset make_synthetic(const SynthSpec& spec) {
 
 namespace {
 
+/// Row count `base * scale`, at least 64. The cast to std::size_t is
+/// undefined for a negative, NaN or out-of-range value, so such a scale is
+/// rejected instead.
 std::size_t scaled(double base, double scale) {
-  return std::max<std::size_t>(64, static_cast<std::size_t>(base * scale));
+  const double rows = base * scale;
+  if (!(std::isfinite(scale) && scale > 0.0 &&
+        rows < static_cast<double>(std::numeric_limits<std::size_t>::max()))) {
+    char msg[128];
+    std::snprintf(msg, sizeof(msg),
+                  "synthetic dataset: size_scale %g must be finite and > 0, "
+                  "and its row count must fit std::size_t",
+                  scale);
+    throw std::invalid_argument(msg);
+  }
+  return std::max<std::size_t>(64, static_cast<std::size_t>(rows));
 }
 
 }  // namespace

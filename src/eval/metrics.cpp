@@ -46,74 +46,30 @@ double accuracy(const Confusion& c) {
   return total ? static_cast<double>(c.tp + c.tn) / static_cast<double>(total) : 0.0;
 }
 
-namespace {
-
-/// Rows sorted by descending score; returns cumulative (tp, fp) at each
-/// distinct score cut, plus totals.
-struct SweepPoint {
-  double tp, fp;
-};
-
-std::vector<SweepPoint> score_sweep(const std::vector<double>& scores,
-                                    const std::vector<int>& y, double* pos_total,
-                                    double* neg_total) {
-  require(scores.size() == y.size() && !scores.empty(), "auc: bad inputs");
+double pr_auc(const std::vector<double>& scores, const std::vector<int>& y_true) {
+  require(scores.size() == y_true.size() && !scores.empty(), "auc: bad inputs");
+  double pos = 0.0;
+  for (int v : y_true)
+    if (v == 1) pos += 1.0;
+  if (pos == 0.0) return 0.0;
   std::vector<std::size_t> order(scores.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) { return scores[a] > scores[b]; });
-  double tp = 0.0, fp = 0.0, pos = 0.0, neg = 0.0;
-  for (int v : y) (v == 1 ? pos : neg) += 1.0;
-  *pos_total = pos;
-  *neg_total = neg;
 
-  std::vector<SweepPoint> pts;
+  // Sweep rows by descending score and integrate precision over recall at
+  // each distinct score cut (step-wise, averaging precision across each
+  // recall increment — equivalent to sklearn's average_precision when points
+  // are per-sample).
+  double auc = 0.0, tp = 0.0, fp = 0.0, prev_tp = 0.0;
   for (std::size_t i = 0; i < order.size(); ++i) {
-    if (y[order[i]] == 1)
-      tp += 1.0;
-    else
-      fp += 1.0;
-    // Emit an operating point only after the last element of a tied block.
-    if (i + 1 == order.size() || scores[order[i + 1]] != scores[order[i]])
-      pts.push_back({tp, fp});
-  }
-  return pts;
-}
-
-}  // namespace
-
-double pr_auc(const std::vector<double>& scores, const std::vector<int>& y_true) {
-  double pos = 0.0, neg = 0.0;
-  const auto pts = score_sweep(scores, y_true, &pos, &neg);
-  if (pos == 0.0) return 0.0;
-
-  // Integrate precision over recall (step-wise, averaging precision across
-  // each recall increment — equivalent to sklearn's average_precision when
-  // points are per-sample).
-  double auc = 0.0;
-  double prev_tp = 0.0;
-  for (const auto& p : pts) {
-    const double d_recall = (p.tp - prev_tp) / pos;
-    if (d_recall > 0.0) {
-      const double prec = p.tp / (p.tp + p.fp);
-      auc += prec * d_recall;
-    }
-    prev_tp = p.tp;
+    (y_true[order[i]] == 1 ? tp : fp) += 1.0;
+    // An operating point exists only after the last element of a tied block.
+    if (i + 1 < order.size() && scores[order[i + 1]] == scores[order[i]]) continue;
+    if (tp > prev_tp) auc += tp / (tp + fp) * ((tp - prev_tp) / pos);
+    prev_tp = tp;
   }
   return auc;
-}
-
-double roc_auc(const std::vector<double>& scores, const std::vector<int>& y_true) {
-  double pos = 0.0, neg = 0.0;
-  const auto pts = score_sweep(scores, y_true, &pos, &neg);
-  if (pos == 0.0 || neg == 0.0) return 0.5;
-  double auc = 0.0, prev_tp = 0.0, prev_fp = 0.0;
-  for (const auto& p : pts) {
-    auc += (p.fp - prev_fp) * (p.tp + prev_tp) * 0.5;  // trapezoid
-    prev_tp = p.tp;
-    prev_fp = p.fp;
-  }
-  return auc / (pos * neg);
 }
 
 }  // namespace cnd::eval

@@ -28,8 +28,4 @@ double accuracy(const Confusion& c);
 /// when scores are all equal (the random-classifier PR-AUC).
 double pr_auc(const std::vector<double>& scores, const std::vector<int>& y_true);
 
-/// Area under the ROC curve (reported for completeness; the paper prefers
-/// PR-AUC under class imbalance).
-double roc_auc(const std::vector<double>& scores, const std::vector<int>& y_true);
-
 }  // namespace cnd::eval

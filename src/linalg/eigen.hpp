@@ -1,8 +1,8 @@
 // Symmetric eigendecomposition via the cyclic Jacobi method.
 //
-// Sufficient for the covariance matrices PCA works on (dimension = feature
-// count or autoencoder latent width, i.e. tens), where Jacobi is simple,
-// numerically robust, and produces orthonormal eigenvectors.
+// Used on the covariance matrices PCA works on (dimension = feature count
+// or autoencoder latent width, up to 256 for the paper-size CND-IDS), where
+// Jacobi is simple, numerically robust, and yields orthonormal eigenvectors.
 #pragma once
 
 #include "tensor/matrix.hpp"

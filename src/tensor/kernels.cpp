@@ -355,16 +355,6 @@ void add_rowvec_inplace(Matrix& a, std::span<const double> v) {
   }
 }
 
-void hadamard_into(Matrix& out, const Matrix& a, const Matrix& b) {
-  require(a.same_shape(b), "hadamard_into: shape mismatch");
-  require(&out != &a && &out != &b, "hadamard_into: output aliases an input");
-  out.resize(a.rows(), a.cols());
-  const double* pa = a.data();
-  const double* pb = b.data();
-  double* po = out.data();
-  for (std::size_t i = 0; i < a.size(); ++i) po[i] = pa[i] * pb[i];
-}
-
 namespace kernels {
 
 void row_sq_norms(const Matrix& a, std::size_t lo, std::size_t hi,

@@ -91,9 +91,6 @@ void sub_rowvec_into(Matrix& out, const Matrix& a, std::span<const double> v);
 /// a += v broadcast over rows (the bias add).
 void add_rowvec_inplace(Matrix& a, std::span<const double> v);
 
-/// out = a ⊙ b (element-wise product).
-void hadamard_into(Matrix& out, const Matrix& a, const Matrix& b);
-
 namespace kernels {
 
 /// out[i - lo] = ||a.row(i)||² for i in [lo, hi), accumulated p-ascending.

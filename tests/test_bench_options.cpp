@@ -64,6 +64,8 @@ TEST(BenchOptions, MalformedScaleThrows) {
   EXPECT_THROW(parse({"--scale=0.5x"}), std::invalid_argument);
   EXPECT_THROW(parse({"--scale=0"}), std::invalid_argument);
   EXPECT_THROW(parse({"--scale=-1"}), std::invalid_argument);
+  EXPECT_THROW(parse({"--scale=nan"}), std::invalid_argument);
+  EXPECT_THROW(parse({"--scale=inf"}), std::invalid_argument);
 }
 
 TEST(BenchOptions, MalformedSeedThrows) {

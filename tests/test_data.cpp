@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <set>
 
 #include "data/csv.hpp"
@@ -140,6 +141,17 @@ TEST(Synth, AllDatasetsValidate) {
     EXPECT_NO_THROW(ds.validate());
     EXPECT_GT(ds.n_attacks(), 0u);
     EXPECT_GT(ds.n_normals(), 0u);
+  }
+}
+
+TEST(Synth, RejectsNonFiniteOrNonPositiveScale) {
+  for (const double scale : {-1.0, 0.0, std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(scale);
+    EXPECT_THROW(make_x_iiotid(1, scale), std::invalid_argument);
+    EXPECT_THROW(make_wustl_iiot(1, scale), std::invalid_argument);
+    EXPECT_THROW(make_cicids2017(1, scale), std::invalid_argument);
+    EXPECT_THROW(make_unsw_nb15(1, scale), std::invalid_argument);
   }
 }
 

@@ -1,60 +1,14 @@
-// Unit tests for the data utilities: drift injection, replay buffer,
-// contamination / label-noise.
+// Unit tests for the data utilities: replay buffer and contamination.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <set>
 
 #include "data/contamination.hpp"
-#include "data/drift.hpp"
 #include "data/replay_buffer.hpp"
 #include "tensor/rng.hpp"
 
 namespace cnd::data {
 namespace {
-
-Matrix zeros(std::size_t n, std::size_t d) { return Matrix(n, d); }
-
-// ---- drift -----------------------------------------------------------------
-
-TEST(Drift, SuddenProfileIsStep) {
-  DriftSpec s{.kind = DriftKind::kSudden, .start_frac = 0.5};
-  EXPECT_EQ(drift_profile(s, 0.0), 0.0);
-  EXPECT_EQ(drift_profile(s, 0.49), 0.0);
-  EXPECT_EQ(drift_profile(s, 0.5), 1.0);
-  EXPECT_EQ(drift_profile(s, 1.0), 1.0);
-}
-
-TEST(Drift, GradualProfileRamps) {
-  DriftSpec s{.kind = DriftKind::kGradual, .start_frac = 0.5};
-  EXPECT_EQ(drift_profile(s, 0.25), 0.0);
-  EXPECT_NEAR(drift_profile(s, 0.75), 0.5, 1e-12);
-  EXPECT_NEAR(drift_profile(s, 1.0), 1.0, 1e-12);
-}
-
-TEST(Drift, RecurringProfileAlternates) {
-  DriftSpec s{.kind = DriftKind::kRecurring, .period_frac = 0.25};
-  EXPECT_EQ(drift_profile(s, 0.1), 0.0);
-  EXPECT_EQ(drift_profile(s, 0.3), 1.0);
-  EXPECT_EQ(drift_profile(s, 0.6), 0.0);
-  EXPECT_EQ(drift_profile(s, 0.8), 1.0);
-}
-
-TEST(Drift, InjectMagnitudeAndDeterminism) {
-  Matrix x = zeros(100, 6);
-  DriftSpec s{.kind = DriftKind::kSudden, .magnitude = 3.0, .start_frac = 0.5};
-  Matrix a = inject_drift(x, s);
-  Matrix b = inject_drift(x, s);
-  // Deterministic direction.
-  for (std::size_t j = 0; j < 6; ++j) EXPECT_EQ(a(99, j), b(99, j));
-  // Pre-drift rows untouched; post-drift rows moved by exactly `magnitude`.
-  double pre = 0.0, post = 0.0;
-  for (double v : a.row(0)) pre += v * v;
-  for (double v : a.row(99)) post += v * v;
-  EXPECT_EQ(pre, 0.0);
-  EXPECT_NEAR(std::sqrt(post), 3.0, 1e-9);
-}
 
 // ---- replay buffer ----------------------------------------------------------
 
@@ -125,16 +79,6 @@ TEST(Contaminate, ZeroFractionIsIdentity) {
   Matrix attacks(5, 2, 9.0);
   Matrix out = contaminate(clean, attacks, 0.0, rng);
   for (std::size_t i = 0; i < 20; ++i) EXPECT_EQ(out(i, 0), 1.5);
-}
-
-TEST(FlipLabels, FlipsExactCount) {
-  Rng rng(5);
-  std::vector<int> y(50, 0);
-  auto flipped = flip_labels(y, 0.2, rng);
-  std::size_t ones = 0;
-  for (int v : flipped) ones += (v == 1);
-  EXPECT_EQ(ones, 10u);
-  EXPECT_THROW(flip_labels({2, 0}, 1.0, rng), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
-// Unit tests for FRE feature attribution and logistic regression.
+// Unit tests for FRE feature attribution.
 #include <gtest/gtest.h>
 
 #include "core/explanation.hpp"
-#include "ml/logistic_regression.hpp"
 #include "tensor/rng.hpp"
 
 namespace cnd {
@@ -64,49 +63,6 @@ TEST(ExplainFre, FormatUsesNamesAndPercents) {
   EXPECT_NE(s.find("bytes (20%)"), std::string::npos);
   const std::string s2 = core::format_attribution(attr);
   EXPECT_NE(s2.find("f1 (80%)"), std::string::npos);
-}
-
-TEST(LogisticRegression, LearnsLinearBoundary) {
-  Rng rng(3);
-  const std::size_t n = 400;
-  Matrix x(n, 2);
-  std::vector<int> y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    x(i, 0) = rng.normal();
-    x(i, 1) = rng.normal();
-    y[i] = (x(i, 0) + 2.0 * x(i, 1) > 0.0) ? 1 : 0;
-  }
-  ml::LogisticRegression lr;
-  lr.fit(x, y, rng);
-  const auto pred = lr.predict(x);
-  std::size_t ok = 0;
-  for (std::size_t i = 0; i < n; ++i) ok += (pred[i] == y[i]);
-  EXPECT_GT(static_cast<double>(ok) / static_cast<double>(n), 0.97);
-  // The learned direction matches (w1 ~ 2 * w0).
-  EXPECT_GT(lr.weights()[1] / lr.weights()[0], 1.2);
-}
-
-TEST(LogisticRegression, ProbabilitiesBounded) {
-  Rng rng(4);
-  Matrix x(50, 3);
-  std::vector<int> y(50);
-  for (std::size_t i = 0; i < 50; ++i) {
-    for (auto& v : x.row(i)) v = rng.normal();
-    y[i] = rng.bernoulli(0.5) ? 1 : 0;
-  }
-  ml::LogisticRegression lr({.epochs = 10});
-  lr.fit(x, y, rng);
-  for (double p : lr.predict_proba(x)) {
-    EXPECT_GE(p, 0.0);
-    EXPECT_LE(p, 1.0);
-  }
-}
-
-TEST(LogisticRegression, RejectsBadLabels) {
-  Rng rng(5);
-  ml::LogisticRegression lr;
-  EXPECT_THROW(lr.fit(Matrix(2, 2), {0, 2}, rng), std::invalid_argument);
-  EXPECT_THROW(lr.predict(Matrix(1, 2)), std::invalid_argument);
 }
 
 }  // namespace

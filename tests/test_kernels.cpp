@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "linalg/distance.hpp"
-#include "ml/incremental_pca.hpp"
 #include "ml/pca.hpp"
 #include "nn/activations.hpp"
 #include "nn/linear.hpp"
@@ -152,15 +151,11 @@ TEST(Kernels, RowSliceMatchesFullProduct) {
 TEST(Kernels, ElementwiseHelpers) {
   Rng rng(3);
   const Matrix a = random_matrix(9, 13, rng);
-  const Matrix b = random_matrix(9, 13, rng);
   const std::vector<double> v = random_matrix(1, 13, rng).row_vec(0);
 
   Matrix out;
   sub_rowvec_into(out, a, v);
   EXPECT_TRUE(bit_identical(out, sub_rowvec(a, v)));
-
-  hadamard_into(out, a, b);
-  EXPECT_TRUE(bit_identical(out, hadamard(a, b)));
 
   Matrix inplace = a;
   add_rowvec_inplace(inplace, v);
@@ -177,7 +172,6 @@ TEST(Kernels, IntoVariantsRejectBadShapes) {
   Matrix acc(3, 3);  // wrong: a^T(4x3) * b(3x2) wants 4 x 2
   EXPECT_THROW(matmul_at_add_into(acc, a, Matrix(3, 2)), std::invalid_argument);
   EXPECT_THROW(sub_rowvec_into(c, a, std::vector<double>(3)), std::invalid_argument);
-  EXPECT_THROW(hadamard_into(c, a, Matrix(4, 3)), std::invalid_argument);
   EXPECT_THROW(matmul_bt_rows_into(c, a, 2, 1, Matrix(5, 4)), std::invalid_argument);
 }
 
@@ -188,7 +182,6 @@ TEST(Kernels, IntoVariantsRejectAliasedOutput) {
   EXPECT_THROW(matmul_bt_into(a, a, b), std::invalid_argument);
   EXPECT_THROW(matmul_at_into(a, a, b), std::invalid_argument);
   EXPECT_THROW(matmul_at_add_into(a, a, b), std::invalid_argument);
-  EXPECT_THROW(hadamard_into(a, a, b), std::invalid_argument);
   EXPECT_THROW(sub_rowvec_into(a, a, std::vector<double>(4)), std::invalid_argument);
 }
 
@@ -326,26 +319,6 @@ TEST(ZeroAlloc, PcaScoreIntoSteadyState) {
   const std::size_t before = g_news.load();
   for (int i = 0; i < 10; ++i) pca.score_into(x, scores, ws);
   EXPECT_EQ(g_news.load() - before, 0u);
-}
-
-TEST(ZeroAlloc, IncrementalPcaPartialFitSteadyState) {
-  ThreadsGuard guard(1);
-  Rng rng(17);
-  ml::IncrementalPca ipca;
-  const Matrix batch = random_matrix(32, 10, rng);
-  for (int i = 0; i < 2; ++i) ipca.partial_fit(batch);
-  const std::size_t before = g_news.load();
-  for (int i = 0; i < 10; ++i) ipca.partial_fit(batch);
-  EXPECT_EQ(g_news.load() - before, 0u);
-
-  ipca.refresh();
-  Workspace ws;
-  std::vector<double> scores;
-  for (int i = 0; i < 2; ++i) ipca.score_into(batch, scores, ws);
-  EXPECT_EQ(scores, ipca.score(batch));
-  const std::size_t before_score = g_news.load();
-  for (int i = 0; i < 10; ++i) ipca.score_into(batch, scores, ws);
-  EXPECT_EQ(g_news.load() - before_score, 0u);
 }
 
 TEST(ZeroAlloc, WorkspaceSlotsReuseAllocations) {

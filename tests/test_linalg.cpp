@@ -1,4 +1,4 @@
-// Unit tests for eigendecomposition, SVD, statistics, and distances.
+// Unit tests for eigendecomposition, statistics, and distances.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -6,7 +6,6 @@
 #include "linalg/distance.hpp"
 #include "linalg/eigen.hpp"
 #include "linalg/stats.hpp"
-#include "linalg/svd.hpp"
 #include "tensor/rng.hpp"
 
 namespace cnd::linalg {
@@ -69,37 +68,6 @@ TEST(Eigen, RejectsNonSymmetric) {
 
 TEST(Eigen, RejectsNonSquare) {
   EXPECT_THROW(eigen_symmetric(Matrix(2, 3)), std::invalid_argument);
-}
-
-TEST(Svd, ReconstructsLowRank) {
-  // Rank-2 matrix: outer products.
-  Rng rng(9);
-  Matrix u(6, 2), v(4, 2);
-  for (std::size_t i = 0; i < 6; ++i)
-    for (std::size_t j = 0; j < 2; ++j) u(i, j) = rng.normal();
-  for (std::size_t i = 0; i < 4; ++i)
-    for (std::size_t j = 0; j < 2; ++j) v(i, j) = rng.normal();
-  Matrix a = matmul_bt(u, v);
-
-  auto s = svd_thin(a);
-  EXPECT_LE(s.sigma.size(), 2u);
-  // Reconstruct U S V^T.
-  Matrix us = s.u;
-  for (std::size_t i = 0; i < us.rows(); ++i)
-    for (std::size_t j = 0; j < us.cols(); ++j) us(i, j) *= s.sigma[j];
-  Matrix recon = matmul_bt(us, s.v);
-  for (std::size_t i = 0; i < a.rows(); ++i)
-    for (std::size_t j = 0; j < a.cols(); ++j) EXPECT_NEAR(recon(i, j), a(i, j), 1e-7);
-}
-
-TEST(Svd, SingularValuesDescending) {
-  Rng rng(10);
-  Matrix a(5, 7);
-  for (std::size_t i = 0; i < 5; ++i)
-    for (std::size_t j = 0; j < 7; ++j) a(i, j) = rng.normal();
-  auto s = svd_thin(a);
-  for (std::size_t i = 1; i < s.sigma.size(); ++i)
-    EXPECT_GE(s.sigma[i - 1], s.sigma[i]);
 }
 
 TEST(Stats, CovarianceKnown) {

@@ -84,11 +84,8 @@ TEST_P(MetricProperty, BoundsAndThresholdConsistency) {
   }
 
   const double ap = eval::pr_auc(scores, y);
-  const double roc = eval::roc_auc(scores, y);
   EXPECT_GE(ap, 0.0);
   EXPECT_LE(ap, 1.0);
-  EXPECT_GE(roc, 0.0);
-  EXPECT_LE(roc, 1.0);
 
   // Best-F F1 is attainable by its own threshold, and no grid threshold
   // beats it.
@@ -102,7 +99,6 @@ TEST_P(MetricProperty, BoundsAndThresholdConsistency) {
   std::vector<double> warped(n);
   for (std::size_t i = 0; i < n; ++i) warped[i] = 3.0 * scores[i] + 7.0;
   EXPECT_NEAR(eval::pr_auc(warped, y), ap, 1e-12);
-  EXPECT_NEAR(eval::roc_auc(warped, y), roc, 1e-12);
   EXPECT_NEAR(eval::best_f_threshold(warped, y).f1, best.f1, 1e-12);
 }
 

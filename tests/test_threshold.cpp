@@ -1,4 +1,4 @@
-// Unit tests for Best-F and quantile thresholding.
+// Unit tests for Best-F, quantile and POT thresholding.
 #include "eval/threshold.hpp"
 
 #include <gtest/gtest.h>
@@ -6,6 +6,8 @@
 #include <limits>
 
 #include "eval/metrics.hpp"
+#include "eval/robust_threshold.hpp"
+#include "tensor/rng.hpp"
 
 namespace cnd::eval {
 namespace {
@@ -107,6 +109,33 @@ TEST(Verdicts, AdaptationBuffersAdmitOnlyFiniteRows) {
   EXPECT_EQ(buffer.rows(), 3u);
   EXPECT_EQ(buffer(1, 0), 1.0);
   EXPECT_EQ(buffer(2, 1), 5.0);
+}
+
+TEST(PotThreshold, CalibratesTailProbability) {
+  // Exponential(1) scores: P(X > t) = exp(-t), so the 1e-3 threshold should
+  // land near -ln(1e-3) ~ 6.9.
+  Rng rng(1);
+  std::vector<double> cal(20000);
+  for (double& v : cal) v = rng.exponential(1.0);
+  const double t = pot_threshold(cal, {.tail_quantile = 0.95, .target_prob = 1e-3});
+  EXPECT_NEAR(t, 6.9, 1.0);
+}
+
+TEST(PotThreshold, AboveTailQuantile) {
+  Rng rng(2);
+  std::vector<double> cal(500);
+  for (double& v : cal) v = rng.normal();
+  const double t = pot_threshold(cal, {.tail_quantile = 0.9, .target_prob = 1e-3});
+  std::size_t above = 0;
+  for (double v : cal) above += (v > t);
+  EXPECT_LT(static_cast<double>(above) / 500.0, 0.05);
+}
+
+TEST(PotThreshold, RejectsBadConfig) {
+  std::vector<double> cal(30, 1.0);
+  EXPECT_THROW(pot_threshold(cal, {.tail_quantile = 0.9, .target_prob = 0.5}),
+               std::invalid_argument);
+  EXPECT_THROW(pot_threshold(std::vector<double>(5, 1.0), {}), std::invalid_argument);
 }
 
 }  // namespace

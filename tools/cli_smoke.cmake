@@ -1,5 +1,6 @@
 # End-to-end smoke test of the `cnd` CLI:
-# gen -> run -> score -> snapshot -> restore --explain.
+# gen -> run -> score -> snapshot -> restore --explain, and a malformed
+# numeric flag.
 # Invoked by ctest with -DCND_BIN=<path-to-binary>.
 if(NOT DEFINED CND_BIN)
   message(FATAL_ERROR "CND_BIN not set")
@@ -39,6 +40,17 @@ endif()
 run_step("${CND_BIN}" snapshot "--data=${csv}" "--out=${artifact}" --epochs=2)
 if(NOT EXISTS "${artifact}")
   message(FATAL_ERROR "snapshot did not write the serving artifact")
+endif()
+
+# A signed or junk-suffixed number fails fast with a message naming the
+# flag; read by a plain std::stoul, --epochs=-1 would be 2^64 - 1 epochs.
+execute_process(COMMAND "${CND_BIN}" snapshot "--data=${csv}"
+                        "--out=${work}/rejected.cnd" --epochs=-1
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err TIMEOUT 60)
+string(FIND "${err}" "--epochs" names_flag)
+if(NOT rc EQUAL 1 OR names_flag EQUAL -1)
+  message(FATAL_ERROR "snapshot --epochs=-1 must exit 1 naming --epochs "
+                      "(${rc}):\n${err}")
 endif()
 
 run_step("${CND_BIN}" restore "--artifact=${artifact}" "--test=${csv}" --explain)

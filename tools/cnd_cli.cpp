@@ -48,9 +48,13 @@
 //       files are assumed preprocessed to the clean CSV's feature scale.
 //       --detector=Adaptive with --adapt-every serves drift-gated
 //       adaptation: each round's window refits only when the gate fires.
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -96,6 +100,34 @@ std::string flag(const std::map<std::string, std::string>& f, const std::string&
                  const std::string& def) {
   auto it = f.find(k);
   return it == f.end() ? def : it->second;
+}
+
+/// `--k` (or `def` when absent) as an unsigned integer: digits only, so no
+/// sign, no trailing junk and no overflow. std::stoull would wrap "-1" to
+/// 2^64 - 1 and read "2abc" as 2. Throws std::invalid_argument naming the
+/// flag.
+std::uint64_t uint_flag(const std::map<std::string, std::string>& f,
+                        const std::string& k, const std::string& def) {
+  const std::string v = flag(f, k, def);
+  std::uint64_t x = 0;
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), x);
+  if (ec != std::errc() || end != v.data() + v.size())
+    throw std::invalid_argument("--" + k + "=" + v +
+                                ": expected an unsigned integer");
+  return x;
+}
+
+/// `--k` (or `def` when absent) as a finite real number with no trailing
+/// junk. Throws std::invalid_argument naming the flag.
+double real_flag(const std::map<std::string, std::string>& f,
+                 const std::string& k, const std::string& def) {
+  const std::string v = flag(f, k, def);
+  double x = 0.0;
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), x);
+  if (ec != std::errc() || end != v.data() + v.size() || !std::isfinite(x))
+    throw std::invalid_argument("--" + k + "=" + v +
+                                ": expected a finite number");
+  return x;
 }
 
 int usage() {
@@ -149,8 +181,8 @@ int cmd_gen(const std::map<std::string, std::string>& f) {
   const std::string name = flag(f, "dataset", "unsw_nb15");
   const std::string out = flag(f, "out", "");
   if (out.empty()) return usage();
-  const double scale = std::stod(flag(f, "scale", "0.25"));
-  const auto seed = static_cast<std::uint64_t>(std::stoull(flag(f, "seed", "42")));
+  const double scale = real_flag(f, "scale", "0.25");
+  const auto seed = uint_flag(f, "seed", "42");
 
   data::Dataset ds;
   if (name == "x_iiotid")
@@ -173,8 +205,8 @@ int cmd_gen(const std::map<std::string, std::string>& f) {
 int cmd_run(const std::map<std::string, std::string>& f) {
   const std::string path = flag(f, "data", "");
   if (path.empty()) return usage();
-  const auto m = static_cast<std::size_t>(std::stoul(flag(f, "experiences", "5")));
-  const auto seed = static_cast<std::uint64_t>(std::stoull(flag(f, "seed", "7")));
+  const auto m = static_cast<std::size_t>(uint_flag(f, "experiences", "5"));
+  const auto seed = uint_flag(f, "seed", "7");
 
   data::Dataset ds = data::load_csv(path, "cli");
   data::ExperienceSet es =
@@ -183,11 +215,9 @@ int cmd_run(const std::map<std::string, std::string>& f) {
   const std::string detector = flag(f, "detector", "CND-IDS");
   core::DetectorConfig cfg;
   cfg.seed = seed;
-  cfg.cnd.cfe.epochs =
-      static_cast<std::size_t>(std::stoul(flag(f, "epochs", "8")));
+  cfg.cnd.cfe.epochs = static_cast<std::size_t>(uint_flag(f, "epochs", "8"));
   cfg.cnd.seed = seed;
-  const auto nprobe =
-      static_cast<std::size_t>(std::stoul(flag(f, "ann-nprobe", "0")));
+  const auto nprobe = static_cast<std::size_t>(uint_flag(f, "ann-nprobe", "0"));
   if (f.count("ann-nprobe") != 0) {
     if (nprobe == 0) {
       std::fprintf(stderr,
@@ -219,7 +249,7 @@ int cmd_score(const std::map<std::string, std::string>& f) {
   const std::string train_path = flag(f, "train", "");
   const std::string test_path = flag(f, "test", "");
   if (train_path.empty() || test_path.empty()) return usage();
-  const double q = std::stod(flag(f, "quantile", "0.99"));
+  const double q = real_flag(f, "quantile", "0.99");
 
   data::Dataset train = data::load_csv(train_path, "train");
   data::Dataset test = data::load_csv(test_path, "test");
@@ -240,8 +270,7 @@ int cmd_score(const std::map<std::string, std::string>& f) {
   Matrix x_test = scaler.transform(test.x);
 
   core::DetectorConfig cfg;
-  cfg.cnd.cfe.epochs =
-      static_cast<std::size_t>(std::stoul(flag(f, "epochs", "8")));
+  cfg.cnd.cfe.epochs = static_cast<std::size_t>(uint_flag(f, "epochs", "8"));
   const auto det = core::make_detector("CND-IDS", cfg);
   Matrix seed_x;
   std::vector<int> seed_y;
@@ -305,14 +334,13 @@ int cmd_snapshot(const std::map<std::string, std::string>& f) {
   const std::string out = flag(f, "out", "");
   if (data_path.empty() || out.empty()) return usage();
   const std::string detector = flag(f, "detector", "CND-IDS");
-  const auto seed = static_cast<std::uint64_t>(std::stoull(flag(f, "seed", "7")));
-  const double fpr = std::stod(flag(f, "fpr", "0.01"));
+  const auto seed = uint_flag(f, "seed", "7");
+  const double fpr = real_flag(f, "fpr", "0.01");
 
   core::DetectorConfig cfg;
   cfg.seed = seed;
   cfg.cnd.seed = seed;
-  cfg.cnd.cfe.epochs =
-      static_cast<std::size_t>(std::stoul(flag(f, "epochs", "8")));
+  cfg.cnd.cfe.epochs = static_cast<std::size_t>(uint_flag(f, "epochs", "8"));
 
   data::Dataset train = data::load_csv(data_path, "snapshot");
   Matrix n_clean;
@@ -368,9 +396,8 @@ int cmd_serve(const std::map<std::string, std::string>& f) {
   const std::string flows_path = flag(f, "flows", "");
   const std::string clean_path = flag(f, "clean", "");
   if (flows_path.empty() || clean_path.empty()) return usage();
-  const auto seed = static_cast<std::uint64_t>(std::stoull(flag(f, "seed", "7")));
-  const auto batch_rows =
-      static_cast<std::size_t>(std::stoul(flag(f, "batch", "256")));
+  const auto seed = uint_flag(f, "seed", "7");
+  const auto batch_rows = static_cast<std::size_t>(uint_flag(f, "batch", "256"));
   if (batch_rows == 0) return usage();
 
   serve::ServiceConfig cfg;
@@ -378,11 +405,11 @@ int cmd_serve(const std::map<std::string, std::string>& f) {
   cfg.detector_cfg.seed = seed;
   cfg.detector_cfg.cnd.seed = seed;
   cfg.detector_cfg.cnd.cfe.epochs =
-      static_cast<std::size_t>(std::stoul(flag(f, "epochs", "8")));
-  cfg.shards = static_cast<std::size_t>(std::stoul(flag(f, "shards", "2")));
-  cfg.queue_capacity = static_cast<std::size_t>(std::stoul(flag(f, "queue", "8")));
+      static_cast<std::size_t>(uint_flag(f, "epochs", "8"));
+  cfg.shards = static_cast<std::size_t>(uint_flag(f, "shards", "2"));
+  cfg.queue_capacity = static_cast<std::size_t>(uint_flag(f, "queue", "8"));
   cfg.adapt_interval_flows =
-      static_cast<std::size_t>(std::stoul(flag(f, "adapt-every", "0")));
+      static_cast<std::size_t>(uint_flag(f, "adapt-every", "0"));
 
   // Latency histograms need observability on; metrics are a write-only side
   // channel, so the scores are unaffected (docs/OBSERVABILITY.md).
