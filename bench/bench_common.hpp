@@ -7,12 +7,15 @@
 // the working directory.
 #pragma once
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "baselines/adcn.hpp"
@@ -68,17 +71,14 @@ inline double parse_double_flag(const std::string& arg, std::size_t prefix_len) 
   return x;
 }
 
-/// Value of "--flag=v" as non-negative integer, same strictness.
+/// Value of "--flag=v" as non-negative integer: digits only, so a sign,
+/// whitespace, trailing junk or overflow throws. (std::stoull would skip
+/// the space in "--seed= -1" and wrap the -1 to 2^64 - 1.)
 inline std::uint64_t parse_uint_flag(const std::string& arg, std::size_t prefix_len) {
-  const std::string v = arg.substr(prefix_len);
-  std::size_t pos = 0;
+  const std::string_view v = std::string_view(arg).substr(prefix_len);
   std::uint64_t x = 0;
-  try {
-    x = std::stoull(v, &pos);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("bench: malformed value in '" + arg + "'");
-  }
-  if (v.empty() || pos != v.size() || v[0] == '-')
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), x);
+  if (ec != std::errc() || end != v.data() + v.size())
     throw std::invalid_argument("bench: malformed value in '" + arg + "'");
   return x;
 }

@@ -121,7 +121,8 @@ void BM_JacobiEigen(benchmark::State& state) {
   Matrix a = matmul_at(b, b);
   for (auto _ : state) benchmark::DoNotOptimize(linalg::eigen_symmetric(a));
 }
-BENCHMARK(BM_JacobiEigen)->Arg(32)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
+// 256 is the latent width whose covariance ml::Pca solves in production.
+BENCHMARK(BM_JacobiEigen)->Arg(32)->Arg(64)->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
 
 void BM_KMeansFit(benchmark::State& state) {
   Matrix x = random_matrix(2000, 32, 4);

@@ -91,7 +91,8 @@ int main(int argc, char** argv) {
   std::size_t m = bench::paper_m(ds.name);
   const std::string m_flag = string_flag(argc, argv, "--experiences=");
   if (!m_flag.empty())
-    m = static_cast<std::size_t>(std::stoul(m_flag));
+    m = static_cast<std::size_t>(
+        bench::detail::parse_uint_flag("--experiences=" + m_flag, 14));
 
   std::printf("=== Scenario x detector grid (docs/SCENARIOS.md) ===\n");
   std::printf("(dataset=%s scale=%.2f seed=%llu m=%zu)\n\n", ds.name.c_str(),

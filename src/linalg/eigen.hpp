@@ -3,6 +3,20 @@
 // Used on the covariance matrices PCA works on (dimension = feature count
 // or autoencoder latent width, up to 256 for the paper-size CND-IDS), where
 // Jacobi is simple, numerically robust, and yields orthonormal eigenvectors.
+//
+// Layout. The sweeps run on raw row pointers, not Matrix::operator(). The
+// working copy d keeps its rows at a padded stride of an odd number of
+// 64-byte lines, so a rotation's column update, which touches one element
+// in each of the n rows, does not map them all to the same cache sets.
+// The eigenvector accumulator is kept transposed (row j = eigenvector j),
+// so each rotation updates two contiguous rows of it; the result is
+// transposed back once.
+//
+// Stop rule. The solve stops before a sweep when the off-diagonal norm is
+// at most 1e-14 * max(1, max|a_ij|), and after a sweep that applies no
+// rotation: such a sweep leaves d unchanged, so every later one would
+// rotate nothing too. Both rules give the same bytes as running all
+// max_sweeps sweeps.
 #pragma once
 
 #include "tensor/matrix.hpp"

@@ -1,10 +1,13 @@
 #include "runtime/thread_pool.hpp"
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
+#include <system_error>
 
 #include "obs/metrics.hpp"
 
@@ -24,9 +27,12 @@ struct RegionGuard {
 
 std::size_t default_threads() {
   if (const char* env = std::getenv("CND_THREADS")) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end != env && *end == '\0' && v >= 1) return static_cast<std::size_t>(v);
+    // Digits only: std::from_chars takes no sign and no whitespace, where
+    // strtoull would wrap "-1" to 2^64 - 1 lanes.
+    const char* const last = env + std::strlen(env);
+    std::size_t v = 0;
+    const auto [end, ec] = std::from_chars(env, last, v);
+    if (ec == std::errc() && end == last && v >= 1) return v;
     // Malformed or zero CND_THREADS falls through to the hardware default
     // rather than aborting the process.
   }

@@ -15,7 +15,8 @@ namespace cnd::serve {
 // cnd-throw-ok(config validation — runs once at construction/bootstrap, never per batch)
 void ServiceConfig::validate() const {
   require(!detector.empty(), "ServiceConfig: detector name is empty");
-  require(shards >= 1, "ServiceConfig: shards must be >= 1");
+  require(shards >= 1 && shards <= kMaxShards,
+          "ServiceConfig: shards out of [1, kMaxShards = 256]");
   require(queue_capacity >= 1, "ServiceConfig: queue_capacity must be >= 1");
   require(target_fpr > 0.0 && target_fpr < 0.05,
           "ServiceConfig: target_fpr out of (0, 0.05)");

@@ -55,10 +55,16 @@
 
 namespace cnd::serve {
 
+/// Upper bound on ServiceConfig::shards. Each shard is one OS thread,
+/// started by bootstrap, so an unbounded count would ask the OS for as many
+/// threads as a typo names.
+inline constexpr std::size_t kMaxShards = 256;  // validate()'s message names 256
+
 struct ServiceConfig {
   /// Registry name of the detector; must support_snapshot().
   std::string detector = "CND-IDS";
   core::DetectorConfig detector_cfg;
+  /// In [1, kMaxShards].
   std::size_t shards = 1;
   std::size_t queue_capacity = 64;
   /// POT target false-alarm probability for the calibrated threshold.

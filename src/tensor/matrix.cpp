@@ -23,12 +23,13 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> init) {
   }
 }
 
-// The element accessors are the inner loop of the Jacobi eigensolver and of
-// every other element-wise loop, and their bodies are under 64 bytes. They
-// are aligned to 64 so a body never straddles two 64-byte fetch blocks:
-// where it did, the 256x256 eigensolve ran about 1.7x slower (4-vCPU Intel
-// Xeon VM, GCC 12 -O3), and which case a build got depended on the size of
-// unrelated code linked before.
+// The element accessors are the inner loop of many element-wise loops, and
+// their bodies are under 64 bytes. They are aligned to 64 so a body never
+// straddles two 64-byte fetch blocks: where it did, a loop of accessor
+// calls (measured on the Jacobi eigensolve before it moved to raw row
+// pointers) ran about 1.7x slower (4-vCPU Intel Xeon VM, GCC 12 -O3), and
+// which case a build got depended on the size of unrelated code linked
+// before.
 [[gnu::aligned(64)]] double& Matrix::operator()(std::size_t r, std::size_t c) {
   CND_CHECK(r < rows_ && c < cols_, "Matrix: index out of range");
   return data_[r * cols_ + c];

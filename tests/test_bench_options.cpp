@@ -73,6 +73,9 @@ TEST(BenchOptions, MalformedSeedThrows) {
   EXPECT_THROW(parse({"--seed="}), std::invalid_argument);
   EXPECT_THROW(parse({"--seed=abc"}), std::invalid_argument);
   EXPECT_THROW(parse({"--seed=-3"}), std::invalid_argument);
+  EXPECT_THROW(parse({"--seed= -1"}), std::invalid_argument);
+  EXPECT_THROW(parse({"--seed=+1"}), std::invalid_argument);
+  EXPECT_THROW(parse({"--seed=18446744073709551616"}), std::invalid_argument);
 }
 
 TEST(BenchOptions, MalformedThreadsThrows) {
@@ -80,6 +83,8 @@ TEST(BenchOptions, MalformedThreadsThrows) {
   EXPECT_THROW(parse({"--threads="}), std::invalid_argument);
   EXPECT_THROW(parse({"--threads=0"}), std::invalid_argument);
   EXPECT_THROW(parse({"--threads=2x"}), std::invalid_argument);
+  // Parsed before --threads reaches the runtime, so no lane count is set.
+  EXPECT_THROW(parse({"--threads= -1"}), std::invalid_argument);
 }
 
 TEST(BenchOptions, MetricsOutRequiresAPath) {

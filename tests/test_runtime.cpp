@@ -7,9 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "ml/hbos.hpp"
@@ -81,6 +85,30 @@ TEST(ThreadPool, SetThreadsReconfigures) {
   }
   // Guard restored the default: CND_THREADS env or hardware concurrency.
   EXPECT_GE(runtime::threads(), 1u);
+}
+
+TEST(Runtime, MalformedCndThreadsFallsBackToHardwareDefault) {
+  const char* prev = std::getenv("CND_THREADS");
+  const std::optional<std::string> saved =
+      prev ? std::optional<std::string>(prev) : std::nullopt;
+  const unsigned hw = std::thread::hardware_concurrency();
+  const std::size_t hardware = hw ? hw : 1;
+  // set_threads(0) re-reads the environment and threads() builds no pool,
+  // so no lane count below starts a thread.
+  for (const char* bogus : {"-1", " 4", "+4", "4x", "0", ""}) {
+    ::setenv("CND_THREADS", bogus, 1);
+    runtime::set_threads(0);
+    EXPECT_EQ(runtime::threads(), hardware) << "CND_THREADS='" << bogus << "'";
+  }
+  ::setenv("CND_THREADS", "3", 1);
+  runtime::set_threads(0);
+  EXPECT_EQ(runtime::threads(), 3u);
+
+  if (saved)
+    ::setenv("CND_THREADS", saved->c_str(), 1);
+  else
+    ::unsetenv("CND_THREADS");
+  runtime::set_threads(0);
 }
 
 // ---- parallel_for coverage -------------------------------------------------

@@ -378,6 +378,8 @@ TEST(ScoringService, ValidateRejectsBadConfig) {
     EXPECT_THROW(serve::ScoringService{cfg}, std::invalid_argument);
   };
   rejects([](serve::ServiceConfig& c) { c.shards = 0; });
+  // Rejected at construction; workers start only in bootstrap.
+  rejects([](serve::ServiceConfig& c) { c.shards = serve::kMaxShards + 1; });
   rejects([](serve::ServiceConfig& c) { c.queue_capacity = 0; });
   rejects([](serve::ServiceConfig& c) { c.target_fpr = 0.0; });
   rejects([](serve::ServiceConfig& c) { c.target_fpr = 0.05; });

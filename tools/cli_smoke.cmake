@@ -1,6 +1,6 @@
 # End-to-end smoke test of the `cnd` CLI:
-# gen -> run -> score -> snapshot -> restore --explain, and a malformed
-# numeric flag.
+# gen -> run -> score -> snapshot -> restore --explain, a malformed numeric
+# flag and two out-of-range ones.
 # Invoked by ctest with -DCND_BIN=<path-to-binary>.
 if(NOT DEFINED CND_BIN)
   message(FATAL_ERROR "CND_BIN not set")
@@ -42,16 +42,24 @@ if(NOT EXISTS "${artifact}")
   message(FATAL_ERROR "snapshot did not write the serving artifact")
 endif()
 
-# A signed or junk-suffixed number fails fast with a message naming the
-# flag; read by a plain std::stoul, --epochs=-1 would be 2^64 - 1 epochs.
-execute_process(COMMAND "${CND_BIN}" snapshot "--data=${csv}"
-                        "--out=${work}/rejected.cnd" --epochs=-1
-                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err TIMEOUT 60)
-string(FIND "${err}" "--epochs" names_flag)
-if(NOT rc EQUAL 1 OR names_flag EQUAL -1)
-  message(FATAL_ERROR "snapshot --epochs=-1 must exit 1 naming --epochs "
-                      "(${rc}):\n${err}")
-endif()
+# A bad flag value fails fast: exit 1 with a message naming the flag.
+function(expect_rejected flag)
+  execute_process(COMMAND ${ARGN} RESULT_VARIABLE rc OUTPUT_QUIET
+                  ERROR_VARIABLE err TIMEOUT 60)
+  string(FIND "${err}" "${flag}" names_flag)
+  if(NOT rc EQUAL 1 OR names_flag EQUAL -1)
+    message(FATAL_ERROR "must exit 1 naming ${flag} (${rc}): ${ARGN}\n${err}")
+  endif()
+endfunction()
+
+# Read by a plain std::stoul, --epochs=-1 would be 2^64 - 1 epochs.
+expect_rejected(--epochs "${CND_BIN}" snapshot "--data=${csv}"
+                "--out=${work}/rejected.cnd" --epochs=-1)
+# Range checks run before training, not in the threshold helpers after it.
+expect_rejected(--quantile "${CND_BIN}" score "--train=${csv}" "--test=${csv}"
+                --quantile=5)
+expect_rejected(--fpr "${CND_BIN}" snapshot "--data=${csv}"
+                "--out=${work}/rejected.cnd" --fpr=2)
 
 run_step("${CND_BIN}" restore "--artifact=${artifact}" "--test=${csv}" --explain)
 string(FIND "${last_out}" "threshold=" has_thr)

@@ -250,6 +250,10 @@ int cmd_score(const std::map<std::string, std::string>& f) {
   const std::string test_path = flag(f, "test", "");
   if (train_path.empty() || test_path.empty()) return usage();
   const double q = real_flag(f, "quantile", "0.99");
+  // quantile_threshold's own check would fire only after training.
+  if (!(q > 0.0 && q < 1.0))
+    throw std::invalid_argument("--quantile=" + flag(f, "quantile", "") +
+                                ": must lie in (0, 1)");
 
   data::Dataset train = data::load_csv(train_path, "train");
   data::Dataset test = data::load_csv(test_path, "test");
@@ -329,6 +333,10 @@ std::unique_ptr<core::ContinualDetector> train_for_serving(
   return det;
 }
 
+/// POT tail quantile of `cnd snapshot`'s threshold; --fpr must lie below
+/// the tail mass 1 - kSnapshotTailQuantile.
+constexpr double kSnapshotTailQuantile = 0.9;
+
 int cmd_snapshot(const std::map<std::string, std::string>& f) {
   const std::string data_path = flag(f, "data", "");
   const std::string out = flag(f, "out", "");
@@ -336,6 +344,12 @@ int cmd_snapshot(const std::map<std::string, std::string>& f) {
   const std::string detector = flag(f, "detector", "CND-IDS");
   const auto seed = uint_flag(f, "seed", "7");
   const double fpr = real_flag(f, "fpr", "0.01");
+  // pot_threshold's own bound (target_prob below the tail mass), checked
+  // before training rather than after it.
+  if (!(fpr > 0.0 && fpr < 1.0 - kSnapshotTailQuantile))
+    throw std::invalid_argument("--fpr=" + flag(f, "fpr", "") +
+                                ": must lie in (0, 0.1), below the POT tail "
+                                "mass at tail quantile 0.9");
 
   core::DetectorConfig cfg;
   cfg.seed = seed;
@@ -346,7 +360,8 @@ int cmd_snapshot(const std::map<std::string, std::string>& f) {
   Matrix n_clean;
   const auto det = train_for_serving(train, detector, cfg, n_clean);
   const double tau = eval::pot_threshold(
-      det->score(n_clean), {.tail_quantile = 0.9, .target_prob = fpr});
+      det->score(n_clean),
+      {.tail_quantile = kSnapshotTailQuantile, .target_prob = fpr});
 
   const auto artifact = serve::make_artifact(1, detector, tau, *det);
   serve::save_artifact(out, *artifact);
