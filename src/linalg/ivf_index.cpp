@@ -16,8 +16,8 @@ namespace {
 
 // Shortlist headroom over k before the double re-rank. The float32 scan only
 // has to get the true neighbours somewhere into the top 2k+8 of the probed
-// clusters for recall to survive the precision drop; tests/test_ann.cpp and
-// BENCH_ann.json hold the resulting recall@10 above threshold.
+// clusters for recall to survive the precision drop; tests/test_ann.cpp holds
+// the resulting recall@10 above threshold, and perfbench's knn_ann reports it.
 constexpr std::size_t kShortlistSlack = 8;
 
 std::size_t auto_cluster_count(std::size_t rows) {

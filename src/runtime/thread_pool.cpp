@@ -1,11 +1,13 @@
 #include "runtime/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <system_error>
 
@@ -32,12 +34,13 @@ std::size_t default_threads() {
     const char* const last = env + std::strlen(env);
     std::size_t v = 0;
     const auto [end, ec] = std::from_chars(env, last, v);
-    if (ec == std::errc() && end == last && v >= 1) return v;
-    // Malformed or zero CND_THREADS falls through to the hardware default
-    // rather than aborting the process.
+    if (ec == std::errc() && end == last && v >= 1 && v <= kMaxThreads)
+      return v;
+    // Malformed, zero or over-cap CND_THREADS falls through to the hardware
+    // default rather than aborting the process.
   }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw ? hw : 1;
+  const std::size_t hw = std::thread::hardware_concurrency();
+  return std::clamp<std::size_t>(hw, 1, kMaxThreads);
 }
 
 AnnotatedMutex g_config_mutex;
@@ -177,6 +180,10 @@ std::size_t threads() {
 }
 
 void set_threads(std::size_t n) {
+  if (n > kMaxThreads)
+    throw std::invalid_argument("runtime::set_threads: " + std::to_string(n) +
+                                " lanes exceeds kMaxThreads = " +
+                                std::to_string(kMaxThreads));
   MutexLock lk(g_config_mutex);
   g_threads = n ? n : default_threads();
   g_pool.reset();  // rebuilt lazily at the new size

@@ -74,14 +74,21 @@ class ThreadPool {
   bool stop_ CND_GUARDED_BY(mutex_) = false;
 };
 
-/// Effective lane count (caller + workers) used by parallel_for; always
-/// >= 1. Initialized on first use from CND_THREADS if set (positive
-/// integer), else std::thread::hardware_concurrency().
+/// Upper bound on the lane count. The shared pool starts threads() - 1 OS
+/// threads, so an unbounded count would ask the OS for as many threads as
+/// a typo names (the same bound as serve::kMaxShards).
+inline constexpr std::size_t kMaxThreads = 256;
+
+/// Effective lane count (caller + workers) used by parallel_for; always in
+/// [1, kMaxThreads]. Initialized on first use from CND_THREADS if set (an
+/// integer in that range), else std::thread::hardware_concurrency() clamped
+/// to it.
 std::size_t threads();
 
 /// Override the lane count. n = 0 resets to the default (CND_THREADS env or
 /// hardware concurrency). n = 1 disables parallelism entirely — the serial
-/// fallback. The shared pool is torn down and lazily rebuilt at the new
+/// fallback. n > kMaxThreads throws std::invalid_argument and changes
+/// nothing. The shared pool is torn down and lazily rebuilt at the new
 /// size; do not call concurrently with in-flight parallel_for work.
 void set_threads(std::size_t n);
 

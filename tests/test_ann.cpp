@@ -2,24 +2,29 @@
 // docs/ANN.md).
 //
 // The contract under test has three legs: exact mode (nprobe = 0) is
-// byte-identical to brute-force linalg::knn; ANN mode (nprobe > 0) is
-// approximate but bit-identical at any thread count, build and search; and
-// the scratch-driven probe loop allocates nothing once warm. Edge cases —
-// empty clusters after compaction, k larger than any single cluster — are
-// pinned explicitly.
+// byte-identical to brute-force linalg::knn, and the exact kNN and LOF
+// detectors to scoring written out by hand over it; ANN mode (nprobe > 0)
+// is approximate but bit-identical at any thread count, build and search,
+// detectors included; and the scratch-driven probe loop allocates nothing
+// once warm. Edge cases — empty clusters after compaction, k larger than
+// any single cluster — are pinned explicitly.
 #include "linalg/ivf_index.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <new>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "linalg/distance.hpp"
 #include "ml/kmeans.hpp"
+#include "ml/knn_detector.hpp"
+#include "ml/lof.hpp"
 #include "runtime/thread_pool.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/rng.hpp"
@@ -82,6 +87,11 @@ bool knn_identical(const linalg::Knn& a, const linalg::Knn& b) {
   return true;
 }
 
+bool scores_identical(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
 double recall_vs(const linalg::Knn& exact, const linalg::Knn& approx) {
   std::size_t hit = 0, total = 0;
   for (std::size_t i = 0; i < exact.indices.size(); ++i)
@@ -138,6 +148,62 @@ TEST(Ann, ExactModeMatchesBruteForceFourThreads) {
   expect_exact_identity();
 }
 
+// ---- Exact detectors == scoring written out over linalg::knn ---------------
+
+// kNN-detector score: the mean of the k nearest reference distances.
+std::vector<double> knn_detector_reference(const Matrix& ref, const Matrix& x,
+                                           std::size_t k) {
+  const linalg::Knn nn = linalg::knn(x, ref, k, /*exclude_self=*/false);
+  std::vector<double> out(x.rows());
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    double s = 0.0;
+    for (double d : nn.distances[i]) s += d;
+    out[i] = s / static_cast<double>(nn.distances[i].size());
+  }
+  return out;
+}
+
+// LOF fit + score: k-distances and local reachability densities of the
+// reference set, then each query's mean neighbour lrd over its own lrd.
+std::vector<double> lof_reference(const Matrix& ref, const Matrix& x,
+                                  std::size_t k) {
+  const linalg::Knn fitnn = linalg::knn(ref, ref, k, /*exclude_self=*/true);
+  std::vector<double> kdist(ref.rows()), lrd(ref.rows());
+  for (std::size_t i = 0; i < ref.rows(); ++i)
+    kdist[i] = fitnn.distances[i].back();
+  auto lrd_of = [&](const std::vector<double>& dists,
+                    const std::vector<std::size_t>& idx) {
+    double reach = 0.0;
+    for (std::size_t j = 0; j < idx.size(); ++j)
+      reach += std::max(dists[j], kdist[idx[j]]);
+    return 1.0 / std::max(reach / static_cast<double>(idx.size()), 1e-12);
+  };
+  for (std::size_t i = 0; i < ref.rows(); ++i)
+    lrd[i] = lrd_of(fitnn.distances[i], fitnn.indices[i]);
+  const linalg::Knn nn = linalg::knn(x, ref, k, /*exclude_self=*/false);
+  std::vector<double> out(x.rows());
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    const double lrd_q = lrd_of(nn.distances[i], nn.indices[i]);
+    double neigh = 0.0;
+    for (std::size_t j : nn.indices[i]) neigh += lrd[j];
+    neigh /= static_cast<double>(nn.indices[i].size());
+    out[i] = neigh / std::max(lrd_q, 1e-12);
+  }
+  return out;
+}
+
+TEST(Ann, ExactDetectorsMatchBruteForceReference) {
+  const Matrix ref = gaussian_clusters(3000, 16, 24, 7);
+  const Matrix query = gaussian_clusters(256, 16, 24, 8);
+  ml::KnnDetector knn({.k = 10});
+  knn.fit(ref);
+  EXPECT_TRUE(scores_identical(knn.score(query),
+                               knn_detector_reference(ref, query, 10)));
+  ml::Lof lof({.k = 20});
+  lof.fit(ref);
+  EXPECT_TRUE(scores_identical(lof.score(query), lof_reference(ref, query, 20)));
+}
+
 // ---- Determinism across thread counts --------------------------------------
 
 TEST(Ann, BuildDeterministicAcrossThreads) {
@@ -181,6 +247,24 @@ TEST(Ann, SearchDeterministicAcrossThreads) {
     t4 = prov.knn(query, 6, false);
   }
   EXPECT_TRUE(knn_identical(t1, t4));
+}
+
+TEST(Ann, DetectorsScoreIdenticallyAcrossThreads) {
+  const Matrix ref = gaussian_clusters(3000, 16, 24, 7);
+  const Matrix query = gaussian_clusters(256, 16, 24, 8);
+  // Fit and score at each lane count, so index build and search both count.
+  const auto scores_at = [&](std::size_t lanes) {
+    ThreadsGuard guard(lanes);
+    ml::KnnDetector knn({.k = 10, .ann = {.nprobe = 3, .clusters = 32}});
+    knn.fit(ref);
+    ml::Lof lof({.k = 20, .ann = {.nprobe = 6, .clusters = 32}});
+    lof.fit(ref);
+    return std::pair{knn.score(query), lof.score(query)};
+  };
+  const auto [knn1, lof1] = scores_at(1);
+  const auto [knn4, lof4] = scores_at(4);
+  EXPECT_TRUE(scores_identical(knn1, knn4)) << "kNN detector, nprobe 3";
+  EXPECT_TRUE(scores_identical(lof1, lof4)) << "LOF, nprobe 6";
 }
 
 // ---- Edge cases ------------------------------------------------------------

@@ -85,6 +85,9 @@ TEST(BenchOptions, MalformedThreadsThrows) {
   EXPECT_THROW(parse({"--threads=2x"}), std::invalid_argument);
   // Parsed before --threads reaches the runtime, so no lane count is set.
   EXPECT_THROW(parse({"--threads= -1"}), std::invalid_argument);
+  // Above runtime::kMaxThreads: set_threads refuses it before the pool
+  // would start a thread.
+  EXPECT_THROW(parse({"--threads=257"}), std::invalid_argument);
 }
 
 TEST(BenchOptions, MetricsOutRequiresAPath) {

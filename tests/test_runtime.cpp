@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -92,10 +93,11 @@ TEST(Runtime, MalformedCndThreadsFallsBackToHardwareDefault) {
   const std::optional<std::string> saved =
       prev ? std::optional<std::string>(prev) : std::nullopt;
   const unsigned hw = std::thread::hardware_concurrency();
-  const std::size_t hardware = hw ? hw : 1;
+  const std::size_t hardware =
+      std::min<std::size_t>(hw ? hw : 1, runtime::kMaxThreads);
   // set_threads(0) re-reads the environment and threads() builds no pool,
   // so no lane count below starts a thread.
-  for (const char* bogus : {"-1", " 4", "+4", "4x", "0", ""}) {
+  for (const char* bogus : {"-1", " 4", "+4", "4x", "0", "", "257", "100000"}) {
     ::setenv("CND_THREADS", bogus, 1);
     runtime::set_threads(0);
     EXPECT_EQ(runtime::threads(), hardware) << "CND_THREADS='" << bogus << "'";
@@ -109,6 +111,15 @@ TEST(Runtime, MalformedCndThreadsFallsBackToHardwareDefault) {
   else
     ::unsetenv("CND_THREADS");
   runtime::set_threads(0);
+}
+
+// Refused before the pool is touched: the lane count stays as it was, so
+// no count a typo names can ask the OS for that many threads.
+TEST(Runtime, SetThreadsAboveCapThrows) {
+  ThreadsGuard guard(3);
+  EXPECT_THROW(runtime::set_threads(runtime::kMaxThreads + 1),
+               std::invalid_argument);
+  EXPECT_EQ(runtime::threads(), 3u);
 }
 
 // ---- parallel_for coverage -------------------------------------------------

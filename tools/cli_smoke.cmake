@@ -1,6 +1,7 @@
 # End-to-end smoke test of the `cnd` CLI:
-# gen -> run -> score -> snapshot -> restore --explain, a malformed numeric
-# flag and two out-of-range ones.
+# gen -> run -> score -> snapshot -> restore --explain, pack -> serve --out
+# at 1 and 4 shards, a malformed numeric flag, two out-of-range ones, a
+# misspelt one and a stray argument.
 # Invoked by ctest with -DCND_BIN=<path-to-binary>.
 if(NOT DEFINED CND_BIN)
   message(FATAL_ERROR "CND_BIN not set")
@@ -60,6 +61,9 @@ expect_rejected(--quantile "${CND_BIN}" score "--train=${csv}" "--test=${csv}"
                 --quantile=5)
 expect_rejected(--fpr "${CND_BIN}" snapshot "--data=${csv}"
                 "--out=${work}/rejected.cnd" --fpr=2)
+# An argument that is not a --flag is an error, not dropped: gen would
+# otherwise write the default dataset.
+expect_rejected(cicids2017 "${CND_BIN}" gen "--out=${work}/rejected.csv" cicids2017)
 
 run_step("${CND_BIN}" restore "--artifact=${artifact}" "--test=${csv}" --explain)
 string(FIND "${last_out}" "threshold=" has_thr)
@@ -74,5 +78,39 @@ if(NOT attributed)
   message(FATAL_ERROR "restore --explain printed no attribution on an alarmed "
                       "row:\n${last_out}")
 endif()
+
+# pack -> serve --out: one "score verdict" line per flow, byte-identical at
+# 1 and 4 shards. 619 flows in 64-flow batches with a round every 200 flows
+# put three adaptation rounds, and their replica swaps, mid-stream.
+set(flows "${work}/smoke.bin")
+run_step("${CND_BIN}" pack "--data=${csv}" "--out=${flows}")
+if(NOT last_out MATCHES "packed ([0-9]+) flows")
+  message(FATAL_ERROR "pack output missing the flow count:\n${last_out}")
+endif()
+set(n_flows "${CMAKE_MATCH_1}")
+foreach(shards 1 4)
+  set(verdicts "${work}/verdicts_${shards}.txt")
+  run_step("${CND_BIN}" serve "--flows=${flows}" "--clean=${csv}"
+           --shards=${shards} --batch=64 --adapt-every=200 --epochs=2
+           "--out=${verdicts}")
+  if(NOT last_out MATCHES "\nadaptations +[1-9]")
+    message(FATAL_ERROR "serve --shards=${shards} ran no adaptation round:\n"
+                        "${last_out}")
+  endif()
+  file(STRINGS "${verdicts}" lines)
+  list(LENGTH lines n_lines)
+  if(NOT n_lines EQUAL n_flows)
+    message(FATAL_ERROR "${verdicts} has ${n_lines} lines for ${n_flows} flows")
+  endif()
+  file(SHA256 "${verdicts}" sha_${shards})
+endforeach()
+if(NOT sha_1 STREQUAL sha_4)
+  message(FATAL_ERROR "serve --out differs between 1 and 4 shards")
+endif()
+
+# A flag the subcommand does not read fails before a file is read, instead
+# of serving with adaptation off and the default epochs.
+expect_rejected(--adapt_every "${CND_BIN}" serve "--flows=${flows}"
+                "--clean=${csv}" --adapt_every=200 --epoch=2)
 
 message(STATUS "cli smoke test passed")

@@ -41,6 +41,7 @@
 //
 //   serve --flows=<bin> --clean=<csv> [--detector=CND-IDS] [--shards=2]
 //         [--batch=256] [--queue=8] [--adapt-every=0] [--seed=7] [--epochs=8]
+//         [--out=<txt>]
 //       Run the sharded scoring service over a packed flow-record file:
 //       bootstrap on the clean CSV's normal rows, stream the file through
 //       the admission queue, print throughput / latency / adaptation
@@ -48,14 +49,25 @@
 //       files are assumed preprocessed to the clean CSV's feature scale.
 //       --detector=Adaptive with --adapt-every serves drift-gated
 //       adaptation: each round's window refits only when the gate fires.
+//       --out writes one "score verdict" line per flow in admission order
+//       (score as %.17g, verdict 1 = alarm); the file is byte-identical at
+//       any --shards and lane count (docs/SERVING.md).
+//
+// Every subcommand rejects a --flag it does not read, and any argument that
+// is not a --flag, so a misspelt flag fails instead of falling back to its
+// default.
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <initializer_list>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "core/detector_factory.hpp"
@@ -77,11 +89,14 @@ namespace {
 
 using namespace cnd;
 
-std::map<std::string, std::string> parse_flags(int argc, char** argv, int from) {
-  std::map<std::string, std::string> out;
+using Flags = std::map<std::string, std::string>;
+
+Flags parse_flags(int argc, char** argv, int from) {
+  Flags out;
   for (int i = from; i < argc; ++i) {
     std::string a = argv[i];
-    if (a.rfind("--", 0) != 0) continue;
+    if (a.rfind("--", 0) != 0)
+      throw std::invalid_argument(a + ": expected --flag or --flag=value");
     const auto eq = a.find('=');
     std::string key, val;
     if (eq == std::string::npos) {
@@ -96,8 +111,16 @@ std::map<std::string, std::string> parse_flags(int argc, char** argv, int from) 
   return out;
 }
 
-std::string flag(const std::map<std::string, std::string>& f, const std::string& k,
-                 const std::string& def) {
+/// Throws std::invalid_argument naming the first `--key` in `f` that is not
+/// in `known`, the flags the subcommand reads. Each cmd_* calls it before it
+/// reads a file.
+void require_known(const Flags& f, std::initializer_list<std::string_view> known) {
+  for (const auto& entry : f)
+    if (std::find(known.begin(), known.end(), entry.first) == known.end())
+      throw std::invalid_argument("--" + entry.first + ": unknown flag");
+}
+
+std::string flag(const Flags& f, const std::string& k, const std::string& def) {
   auto it = f.find(k);
   return it == f.end() ? def : it->second;
 }
@@ -106,8 +129,7 @@ std::string flag(const std::map<std::string, std::string>& f, const std::string&
 /// sign, no trailing junk and no overflow. std::stoull would wrap "-1" to
 /// 2^64 - 1 and read "2abc" as 2. Throws std::invalid_argument naming the
 /// flag.
-std::uint64_t uint_flag(const std::map<std::string, std::string>& f,
-                        const std::string& k, const std::string& def) {
+std::uint64_t uint_flag(const Flags& f, const std::string& k, const std::string& def) {
   const std::string v = flag(f, k, def);
   std::uint64_t x = 0;
   const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), x);
@@ -119,8 +141,7 @@ std::uint64_t uint_flag(const std::map<std::string, std::string>& f,
 
 /// `--k` (or `def` when absent) as a finite real number with no trailing
 /// junk. Throws std::invalid_argument naming the flag.
-double real_flag(const std::map<std::string, std::string>& f,
-                 const std::string& k, const std::string& def) {
+double real_flag(const Flags& f, const std::string& k, const std::string& def) {
   const std::string v = flag(f, k, def);
   double x = 0.0;
   const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), x);
@@ -152,12 +173,16 @@ int usage() {
                "  restore   --artifact=FILE --test=FILE [--explain]\n"
                "  serve     --flows=FILE --clean=FILE [--detector=CND-IDS] "
                "[--shards=2] [--batch=256] [--queue=8] [--adapt-every=0] "
-               "[--seed=7] [--epochs=8]\n"
-               "  detectors\n");
+               "[--seed=7] [--epochs=8] [--out=FILE]\n"
+               "            --out writes one \"score verdict\" line per flow, in "
+               "admission order\n"
+               "  detectors\n"
+               "  A flag the subcommand does not read is an error.\n");
   return 2;
 }
 
-int cmd_detectors() {
+int cmd_detectors(const Flags& f) {
+  require_known(f, {});
   for (const std::string& name : core::detector_names()) {
     const char* kind = "";
     switch (core::detector_kind(name)) {
@@ -177,7 +202,8 @@ int cmd_detectors() {
   return 0;
 }
 
-int cmd_gen(const std::map<std::string, std::string>& f) {
+int cmd_gen(const Flags& f) {
+  require_known(f, {"dataset", "out", "scale", "seed"});
   const std::string name = flag(f, "dataset", "unsw_nb15");
   const std::string out = flag(f, "out", "");
   if (out.empty()) return usage();
@@ -202,7 +228,9 @@ int cmd_gen(const std::map<std::string, std::string>& f) {
   return 0;
 }
 
-int cmd_run(const std::map<std::string, std::string>& f) {
+int cmd_run(const Flags& f) {
+  require_known(f,
+                {"data", "detector", "experiences", "seed", "epochs", "ann-nprobe"});
   const std::string path = flag(f, "data", "");
   if (path.empty()) return usage();
   const auto m = static_cast<std::size_t>(uint_flag(f, "experiences", "5"));
@@ -245,7 +273,8 @@ int cmd_run(const std::map<std::string, std::string>& f) {
   return 0;
 }
 
-int cmd_score(const std::map<std::string, std::string>& f) {
+int cmd_score(const Flags& f) {
+  require_known(f, {"train", "test", "quantile", "epochs"});
   const std::string train_path = flag(f, "train", "");
   const std::string test_path = flag(f, "test", "");
   if (train_path.empty() || test_path.empty()) return usage();
@@ -294,7 +323,8 @@ int cmd_score(const std::map<std::string, std::string>& f) {
   return 0;
 }
 
-int cmd_pack(const std::map<std::string, std::string>& f) {
+int cmd_pack(const Flags& f) {
+  require_known(f, {"data", "out"});
   const std::string data_path = flag(f, "data", "");
   const std::string out = flag(f, "out", "");
   if (data_path.empty() || out.empty()) return usage();
@@ -337,7 +367,8 @@ std::unique_ptr<core::ContinualDetector> train_for_serving(
 /// the tail mass 1 - kSnapshotTailQuantile.
 constexpr double kSnapshotTailQuantile = 0.9;
 
-int cmd_snapshot(const std::map<std::string, std::string>& f) {
+int cmd_snapshot(const Flags& f) {
+  require_known(f, {"data", "out", "detector", "seed", "epochs", "fpr"});
   const std::string data_path = flag(f, "data", "");
   const std::string out = flag(f, "out", "");
   if (data_path.empty() || out.empty()) return usage();
@@ -374,7 +405,8 @@ int cmd_snapshot(const std::map<std::string, std::string>& f) {
   return 0;
 }
 
-int cmd_restore(const std::map<std::string, std::string>& f) {
+int cmd_restore(const Flags& f) {
+  require_known(f, {"artifact", "test", "explain"});
   const std::string artifact_path = flag(f, "artifact", "");
   const std::string test_path = flag(f, "test", "");
   if (artifact_path.empty() || test_path.empty()) return usage();
@@ -407,7 +439,9 @@ int cmd_restore(const std::map<std::string, std::string>& f) {
   return 0;
 }
 
-int cmd_serve(const std::map<std::string, std::string>& f) {
+int cmd_serve(const Flags& f) {
+  require_known(f, {"flows", "clean", "detector", "shards", "batch", "queue",
+                    "adapt-every", "seed", "epochs", "out"});
   const std::string flows_path = flag(f, "flows", "");
   const std::string clean_path = flag(f, "clean", "");
   if (flows_path.empty() || clean_path.empty()) return usage();
@@ -431,6 +465,10 @@ int cmd_serve(const std::map<std::string, std::string>& f) {
   obs::set_enabled(true);
 
   serve::FlowRecordFile file(flows_path);
+  if (file.rows() == 0) {
+    std::fprintf(stderr, "serve: flow file %s holds no flows\n", flows_path.c_str());
+    return 1;
+  }
   data::Dataset clean = data::load_csv(clean_path, "clean");
   std::vector<std::size_t> normal_rows;
   for (std::size_t i = 0; i < clean.size(); ++i)
@@ -443,6 +481,14 @@ int cmd_serve(const std::map<std::string, std::string>& f) {
     std::fprintf(stderr, "serve: flow file has %zu features, --clean has %zu\n",
                  file.dim(), clean.x.cols());
     return 1;
+  }
+
+  // Opened before anything trains, so an unwritable path fails at once.
+  const std::string out = flag(f, "out", "");
+  std::ofstream dump;
+  if (!out.empty()) {
+    dump.open(out);
+    if (!dump) throw std::runtime_error("cannot write " + out);
   }
 
   serve::ScoringService svc(cfg);
@@ -467,6 +513,15 @@ int cmd_serve(const std::map<std::string, std::string>& f) {
   const double soak_ms = soak_timer.elapsed_ms();
   svc.shutdown();
 
+  if (!out.empty()) {
+    dump.precision(17);  // %.17g: a score round-trips exactly
+    for (const auto& b : svc.results())
+      for (std::size_t i = 0; i < b.scores.size(); ++i)
+        dump << b.scores[i] << ' ' << b.verdicts[i] << '\n';
+    dump.close();
+    if (!dump) throw std::runtime_error("cannot write " + out);
+  }
+
   std::size_t alarms = 0;
   for (const auto& b : svc.results())
     for (int v : b.verdicts) alarms += static_cast<std::size_t>(v);
@@ -490,6 +545,7 @@ int cmd_serve(const std::map<std::string, std::string>& f) {
   std::printf("non-finite     %llu (alarmed, kept out of adaptation)\n",
               static_cast<unsigned long long>(
                   obs::metrics().counter("serve.nonfinite_total").value()));
+  if (!out.empty()) std::printf("verdicts       %s\n", out.c_str());
   return 0;
 }
 
@@ -498,8 +554,8 @@ int cmd_serve(const std::map<std::string, std::string>& f) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
-  const auto flags = parse_flags(argc, argv, 2);
   try {
+    const auto flags = parse_flags(argc, argv, 2);
     if (cmd == "gen") return cmd_gen(flags);
     if (cmd == "run") return cmd_run(flags);
     if (cmd == "score") return cmd_score(flags);
@@ -507,7 +563,7 @@ int main(int argc, char** argv) {
     if (cmd == "snapshot") return cmd_snapshot(flags);
     if (cmd == "restore") return cmd_restore(flags);
     if (cmd == "serve") return cmd_serve(flags);
-    if (cmd == "detectors") return cmd_detectors();
+    if (cmd == "detectors") return cmd_detectors(flags);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cnd %s: %s\n", cmd.c_str(), e.what());
     return 1;
