@@ -3,6 +3,7 @@
 #include "obs/metrics.hpp"
 #include "obs/scoped_timer.hpp"
 #include "tensor/assert.hpp"
+#include "tensor/kernels.hpp"
 
 namespace cnd::core {
 
@@ -100,14 +101,18 @@ std::vector<double> CndIds::score(const Matrix& x_test) {
 }
 
 // The serving replicas' scoring entry point: encode + FRE with every
-// temporary in the member scratch, so steady-state batches of a fixed shape
-// never touch the heap. Same operation sequence as encode()+Pca::score(),
-// hence bit-identical scores.
+// temporary in scratch owned by the calling thread, so steady-state batches
+// of a fixed shape never touch the heap, across replica swaps too. A
+// replica carries only its model: the one a process keeps per published
+// version would otherwise each pin a batch-sized scratch. Same operation
+// sequence as encode()+Pca::score(), hence bit-identical scores.
 // cnd-hot
 void CndIds::score_into(const Matrix& x_test, std::vector<double>& out) {
   require(pca_.fitted(), "CndIds::score: no experience observed yet");  // cnd-throw-ok(precondition on caller-supplied shapes/arguments — programmer error, not traffic)
-  cfe_.encode_into(x_test, latent_);
-  pca_.score_into(latent_, out, score_ws_);
+  thread_local Matrix latent;
+  thread_local Workspace ws;
+  cfe_.encode_into(x_test, latent);
+  pca_.score_into(latent, out, ws);
 }
 
 }  // namespace cnd::core

@@ -11,7 +11,6 @@
 #include "core/cfe.hpp"
 #include "core/detector.hpp"
 #include "ml/pca.hpp"
-#include "tensor/kernels.hpp"
 
 namespace cnd::core {
 
@@ -35,8 +34,8 @@ class CndIds final : public ContinualDetector {
   void observe_experience(const Matrix& x_train) override;
   std::vector<double> score(const Matrix& x_test) override;
 
-  /// Allocation-free scoring through the member workspace; bit-identical
-  /// to score(). The serving replicas' hot path.
+  /// Allocation-free scoring through the calling thread's scratch;
+  /// bit-identical to score(). The serving replicas' hot path.
   void score_into(const Matrix& x_test, std::vector<double>& out) override;
 
   bool supports_snapshot() const override { return true; }
@@ -58,10 +57,6 @@ class CndIds final : public ContinualDetector {
   // cnd-snapshot: skip(clean-window data, not model state — snapshots ship the model only)
   Matrix n_clean_;
   CfeFitStats last_stats_;  // cnd-snapshot: skip(fit diagnostics — not part of the scoring function)
-  // Scratch for score_into: latent batch + PCA workspace. Scoring reuses
-  // these across calls, so one detector serves one thread at a time.
-  Matrix latent_;  // cnd-snapshot: skip(scoring scratch — resized on every batch)
-  Workspace score_ws_;  // cnd-snapshot: skip(scoring scratch — resized on every batch)
 };
 
 }  // namespace cnd::core

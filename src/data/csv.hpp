@@ -15,7 +15,12 @@ namespace cnd::data {
 void save_csv(const Dataset& ds, const std::string& path);
 
 /// Load a dataset written by save_csv (or hand-authored in that format).
-/// Class names are synthesized as "class_<id>".
+/// Class names are synthesized as "class_<id>". Every row has exactly the
+/// header's cell count, and every cell parses whole: features as numbers
+/// (nan/inf included; serving alarms such flows), the label as 0 or 1, the
+/// attack class as -1 on normal rows and in [0, 1023] on attack rows. Any
+/// other row throws std::invalid_argument naming the file and line. One
+/// trailing '\r' per line is dropped, so CRLF files load.
 Dataset load_csv(const std::string& path, const std::string& name = "csv");
 
 /// Write an arbitrary numeric table with a header, for bench outputs.

@@ -145,13 +145,19 @@ Dataset make_synthetic(const SynthSpec& spec) {
 
 namespace {
 
-/// Row count `base * scale`, at least 64. The cast to std::size_t is
-/// undefined for a negative, NaN or out-of-range value, so such a scale is
-/// rejected instead.
-std::size_t scaled(double base, double scale) {
-  const double rows = base * scale;
+/// Fewest rows of either class in a scaled dataset.
+constexpr std::size_t kMinClassRows = 64;
+
+/// Sets the row counts to `normal * scale` and `attack * scale`. Both counts
+/// scale by one factor, so the attack share stays Table I's; below the floor
+/// the factor rises until the smaller class has exactly kMinClassRows (the
+/// max only absorbs the rounding of kMinClassRows / smaller * smaller). The
+/// cast to std::size_t is undefined for a negative, NaN or out-of-range
+/// value, so such a scale is rejected instead.
+void set_scaled_counts(SynthSpec& s, double normal, double attack, double scale) {
   if (!(std::isfinite(scale) && scale > 0.0 &&
-        rows < static_cast<double>(std::numeric_limits<std::size_t>::max()))) {
+        std::max(normal, attack) * scale <
+            static_cast<double>(std::numeric_limits<std::size_t>::max()))) {
     char msg[128];
     std::snprintf(msg, sizeof(msg),
                   "synthetic dataset: size_scale %g must be finite and > 0, "
@@ -159,7 +165,11 @@ std::size_t scaled(double base, double scale) {
                   scale);
     throw std::invalid_argument(msg);
   }
-  return std::max<std::size_t>(64, static_cast<std::size_t>(rows));
+  const double smaller = std::min(normal, attack);
+  const auto floor_rows = static_cast<double>(kMinClassRows);
+  const double f = smaller * scale < floor_rows ? floor_rows / smaller : scale;
+  s.n_normal = std::max(kMinClassRows, static_cast<std::size_t>(normal * f));
+  s.n_attack = std::max(kMinClassRows, static_cast<std::size_t>(attack * f));
 }
 
 }  // namespace
@@ -169,8 +179,7 @@ Dataset make_x_iiotid(std::uint64_t seed, double size_scale) {
   SynthSpec s;
   s.name = "X-IIoTID";
   s.n_features = 48;
-  s.n_normal = scaled(8400, size_scale);
-  s.n_attack = scaled(7960, size_scale);
+  set_scaled_counts(s, 8400, 7960, size_scale);
   s.n_attack_classes = 18;
   s.n_normal_modes = 5;
   s.attack_dist_min = 9.0;
@@ -193,8 +202,7 @@ Dataset make_wustl_iiot(std::uint64_t seed, double size_scale) {
   SynthSpec s;
   s.name = "WUSTL-IIoT";
   s.n_features = 32;
-  s.n_normal = scaled(11100, size_scale);
-  s.n_attack = scaled(870, size_scale);
+  set_scaled_counts(s, 11100, 870, size_scale);
   s.n_attack_classes = 4;
   s.n_normal_modes = 3;
   s.attack_dist_min = 11.0;
@@ -212,8 +220,7 @@ Dataset make_cicids2017(std::uint64_t seed, double size_scale) {
   SynthSpec s;
   s.name = "CICIDS2017";
   s.n_features = 64;
-  s.n_normal = scaled(11350, size_scale);
-  s.n_attack = scaled(2790, size_scale);
+  set_scaled_counts(s, 11350, 2790, size_scale);
   s.n_attack_classes = 15;
   s.n_normal_modes = 5;
   s.attack_dist_min = 8.0;   // includes near-normal web attacks
@@ -234,8 +241,7 @@ Dataset make_unsw_nb15(std::uint64_t seed, double size_scale) {
   SynthSpec s;
   s.name = "UNSW-NB15";
   s.n_features = 40;
-  s.n_normal = scaled(6400, size_scale);
-  s.n_attack = scaled(3600, size_scale);
+  set_scaled_counts(s, 6400, 3600, size_scale);
   s.n_attack_classes = 10;
   s.n_normal_modes = 4;
   s.attack_dist_min = 7.0;   // UNSW has notoriously hard "analysis/backdoor"

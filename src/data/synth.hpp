@@ -52,7 +52,9 @@ Dataset make_synthetic(const SynthSpec& spec);
 
 // The four paper datasets (Table I), scaled to ~1.5-2% of the original row
 // counts with ratios preserved. `size_scale` rescales further if needed; it
-// must be finite and > 0, else std::invalid_argument.
+// must be finite and > 0, else std::invalid_argument. Each class keeps at
+// least 64 rows: below that floor both counts scale by one larger factor, so
+// the smaller class has exactly 64 and the ratio still holds.
 Dataset make_x_iiotid(std::uint64_t seed = 42, double size_scale = 1.0);
 Dataset make_wustl_iiot(std::uint64_t seed = 42, double size_scale = 1.0);
 Dataset make_cicids2017(std::uint64_t seed = 42, double size_scale = 1.0);

@@ -63,29 +63,32 @@ namespace {
 
 // ---- C = A * B tiles -------------------------------------------------------
 //
-// Each tile holds an mr x nr block of C in registers and streams the p-panel
-// [p0, p0 + kc). `init_zero` distinguishes the first p-panel (start each
-// element's chain at 0.0, or at C's prior value for the accumulate kernels)
-// from later panels (resume the chain from C). Per element the adds are
-// applied for p strictly ascending — the canonical order — so tiling and the
-// C round-trips between panels never change a rounding step.
+// Each tile holds an mr x nr block of C in registers and streams kc p-steps
+// of the current p-panel: `ap` is A's row i0 and `bp` B's row p0, both
+// already offset to the panel's first p. `init_zero` distinguishes the first
+// p-panel (start each element's chain at 0.0) from later panels (resume the
+// chain from C). Per element the adds are applied for p strictly ascending —
+// the canonical order — so tiling and the C round-trips between panels never
+// change a rounding step. A `padded` B panel holds kNr columns, those past nr
+// zero-filled, so a narrow tile still takes the full kMr x kNr path; the
+// padded columns are computed and discarded, never stored.
 
-inline void mm_tile(double* cp, std::size_t n, const double* ap, std::size_t k,
-                    const double* bp, std::size_t mr, std::size_t nr,
-                    std::size_t p0, std::size_t kc, bool init_zero) {
-  double acc[kMr][kNr];
-  for (std::size_t ii = 0; ii < mr; ++ii)
-    for (std::size_t jj = 0; jj < nr; ++jj)
-      acc[ii][jj] = init_zero ? 0.0 : cp[ii * n + jj];
-  const double* bpp = bp + p0 * n;
-  if (mr == kMr && nr == kNr) {
-    for (std::size_t p = p0; p < p0 + kc; ++p, bpp += n) {
-      const double a0 = ap[0 * k + p];
-      const double a1 = ap[1 * k + p];
-      const double a2 = ap[2 * k + p];
-      const double a3 = ap[3 * k + p];
+inline void mm_tile(double* cp, std::size_t ldc, const double* ap,
+                    std::size_t lda, const double* bp, std::size_t ldb,
+                    std::size_t mr, std::size_t nr, std::size_t kc,
+                    bool init_zero, bool padded) {
+  double acc[kMr][kNr] = {};
+  if (!init_zero)
+    for (std::size_t ii = 0; ii < mr; ++ii)
+      for (std::size_t jj = 0; jj < nr; ++jj) acc[ii][jj] = cp[ii * ldc + jj];
+  if (mr == kMr && (nr == kNr || padded)) {
+    for (std::size_t p = 0; p < kc; ++p, bp += ldb) {
+      const double a0 = ap[0 * lda + p];
+      const double a1 = ap[1 * lda + p];
+      const double a2 = ap[2 * lda + p];
+      const double a3 = ap[3 * lda + p];
       for (std::size_t jj = 0; jj < kNr; ++jj) {
-        const double bv = bpp[jj];
+        const double bv = bp[jj];
         acc[0][jj] = madd(a0, bv, acc[0][jj]);
         acc[1][jj] = madd(a1, bv, acc[1][jj]);
         acc[2][jj] = madd(a2, bv, acc[2][jj]);
@@ -93,16 +96,16 @@ inline void mm_tile(double* cp, std::size_t n, const double* ap, std::size_t k,
       }
     }
   } else {
-    for (std::size_t p = p0; p < p0 + kc; ++p, bpp += n) {
+    for (std::size_t p = 0; p < kc; ++p, bp += ldb) {
       for (std::size_t ii = 0; ii < mr; ++ii) {
-        const double av = ap[ii * k + p];
+        const double av = ap[ii * lda + p];
         for (std::size_t jj = 0; jj < nr; ++jj)
-          acc[ii][jj] = madd(av, bpp[jj], acc[ii][jj]);
+          acc[ii][jj] = madd(av, bp[jj], acc[ii][jj]);
       }
     }
   }
   for (std::size_t ii = 0; ii < mr; ++ii)
-    for (std::size_t jj = 0; jj < nr; ++jj) cp[ii * n + jj] = acc[ii][jj];
+    for (std::size_t jj = 0; jj < nr; ++jj) cp[ii * ldc + jj] = acc[ii][jj];
 }
 
 // C rows [lo, hi) of A(m x k) * B(k x n); C/A pointers are to row 0.
@@ -114,8 +117,8 @@ void mm_rows(double* c, const double* a, const double* b, std::size_t lo,
       const std::size_t kc = std::min(kKc, k - p0);
       for (std::size_t j0 = 0; j0 < n; j0 += kNr) {
         const std::size_t nr = std::min(kNr, n - j0);
-        mm_tile(c + i0 * n + j0, n, a + i0 * k, k, b + j0, mr, nr, p0, kc,
-                /*init_zero=*/p0 == 0);
+        mm_tile(c + i0 * n + j0, n, a + i0 * k + p0, k, b + p0 * n + j0, n,
+                mr, nr, kc, /*init_zero=*/p0 == 0, /*padded=*/false);
       }
     }
   }
@@ -179,66 +182,31 @@ void at_rows(double* c, const double* a, const double* b, std::size_t lo,
   }
 }
 
-// ---- C = A * B^T tiles -----------------------------------------------------
+// ---- C = A * B^T -----------------------------------------------------------
 //
-// Dot-product shaped: both operands stream along p. An kMr x kMr tile gives
-// 16 independent accumulation chains (ILP) while each chain stays strictly
-// p-ascending.
-
-inline void bt_tile(double* cp, std::size_t ldc, const double* ap,
-                    const double* bp, std::size_t k, std::size_t mr,
-                    std::size_t nr, std::size_t p0, std::size_t kc,
-                    bool init_zero) {
-  double acc[kMr][kMr];
-  for (std::size_t ii = 0; ii < mr; ++ii)
-    for (std::size_t jj = 0; jj < nr; ++jj)
-      acc[ii][jj] = init_zero ? 0.0 : cp[ii * ldc + jj];
-  if (mr == kMr && nr == kMr) {
-    const double* a0 = ap + 0 * k;
-    const double* a1 = ap + 1 * k;
-    const double* a2 = ap + 2 * k;
-    const double* a3 = ap + 3 * k;
-    const double* b0 = bp + 0 * k;
-    const double* b1 = bp + 1 * k;
-    const double* b2 = bp + 2 * k;
-    const double* b3 = bp + 3 * k;
-    for (std::size_t p = p0; p < p0 + kc; ++p) {
-      const double bv0 = b0[p], bv1 = b1[p], bv2 = b2[p], bv3 = b3[p];
-      const double av0 = a0[p], av1 = a1[p], av2 = a2[p], av3 = a3[p];
-      acc[0][0] = madd(av0, bv0, acc[0][0]); acc[0][1] = madd(av0, bv1, acc[0][1]);
-      acc[0][2] = madd(av0, bv2, acc[0][2]); acc[0][3] = madd(av0, bv3, acc[0][3]);
-      acc[1][0] = madd(av1, bv0, acc[1][0]); acc[1][1] = madd(av1, bv1, acc[1][1]);
-      acc[1][2] = madd(av1, bv2, acc[1][2]); acc[1][3] = madd(av1, bv3, acc[1][3]);
-      acc[2][0] = madd(av2, bv0, acc[2][0]); acc[2][1] = madd(av2, bv1, acc[2][1]);
-      acc[2][2] = madd(av2, bv2, acc[2][2]); acc[2][3] = madd(av2, bv3, acc[2][3]);
-      acc[3][0] = madd(av3, bv0, acc[3][0]); acc[3][1] = madd(av3, bv1, acc[3][1]);
-      acc[3][2] = madd(av3, bv2, acc[3][2]); acc[3][3] = madd(av3, bv3, acc[3][3]);
-    }
-  } else {
-    for (std::size_t p = p0; p < p0 + kc; ++p) {
-      for (std::size_t ii = 0; ii < mr; ++ii) {
-        const double av = ap[ii * k + p];
-        for (std::size_t jj = 0; jj < nr; ++jj)
-          acc[ii][jj] = madd(av, bp[jj * k + p], acc[ii][jj]);
-      }
-    }
-  }
-  for (std::size_t ii = 0; ii < mr; ++ii)
-    for (std::size_t jj = 0; jj < nr; ++jj) cp[ii * ldc + jj] = acc[ii][jj];
-}
+// Runs on the C = A * B tile. Each kc x kNr panel of B^T is packed once into
+// a stack buffer, columns past the last B row zero-filled, and every row tile
+// in [lo, hi) consumes it before the next panel is packed. Packing reorders
+// loads only: per element the panels still arrive p-ascending.
 
 // C rows [lo, hi) of A(m x k) * B(nb x k)^T; C is m x nb.
 void bt_rows(double* c, const double* a, const double* b, std::size_t lo,
              std::size_t hi, std::size_t k, std::size_t nb) {
-  for (std::size_t i0 = lo; i0 < hi; i0 += kMr) {
-    const std::size_t mr = std::min(kMr, hi - i0);
+  // 16 KB, left uninitialized: the packing below writes every slot a tile
+  // reads.
+  alignas(64) double panel[kKc * kNr];
+  for (std::size_t j0 = 0; j0 < nb; j0 += kNr) {
+    const std::size_t nr = std::min(kNr, nb - j0);
     for (std::size_t p0 = 0; p0 < k; p0 += kKc) {
       const std::size_t kc = std::min(kKc, k - p0);
-      for (std::size_t j0 = 0; j0 < nb; j0 += kMr) {
-        const std::size_t nr = std::min(kMr, nb - j0);
-        bt_tile(c + i0 * nb + j0, nb, a + i0 * k, b + j0 * k, k, mr, nr, p0,
-                kc, /*init_zero=*/p0 == 0);
-      }
+      const double* bp = b + j0 * k + p0;
+      for (std::size_t p = 0; p < kc; ++p)
+        for (std::size_t jj = 0; jj < kNr; ++jj)
+          panel[p * kNr + jj] = jj < nr ? bp[jj * k + p] : 0.0;
+      for (std::size_t i0 = lo; i0 < hi; i0 += kMr)
+        mm_tile(c + i0 * nb + j0, nb, a + i0 * k + p0, k, panel, kNr,
+                std::min(kMr, hi - i0), nr, kc, /*init_zero=*/p0 == 0,
+                /*padded=*/true);
     }
   }
 }

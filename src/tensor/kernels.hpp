@@ -68,7 +68,8 @@ class Workspace {
 /// c = a(m x k) * b(k x n).
 void matmul_into(Matrix& c, const Matrix& a, const Matrix& b);
 
-/// c = a(m x k) * b(n x k)^T. Avoids materializing b^T.
+/// c = a(m x k) * b(n x k)^T. Packs b^T one kKc x kNr panel at a time into
+/// a stack buffer instead of materializing it.
 void matmul_bt_into(Matrix& c, const Matrix& a, const Matrix& b);
 
 /// c = a(k x m)^T * b(k x n). Avoids materializing a^T.

@@ -85,7 +85,8 @@ Matrix operator*(double s, Matrix a);
 /// (tensor/kernels.hpp); canonical p-ascending accumulation per element.
 Matrix matmul(const Matrix& a, const Matrix& b);
 
-/// a(m x k) * b^T where b is (n x k) -> (m x n). Avoids materializing b^T.
+/// a(m x k) * b^T where b is (n x k) -> (m x n). Packs b^T one panel at a
+/// time instead of materializing it.
 Matrix matmul_bt(const Matrix& a, const Matrix& b);
 
 /// a^T(k x m) * b(k x n) -> (m x n). Avoids materializing a^T.

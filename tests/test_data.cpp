@@ -2,7 +2,9 @@
 // dataset constructors, CSV I/O, and the §III-A experience preparation.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <limits>
 #include <set>
 
@@ -117,6 +119,23 @@ TEST(Synth, PaperDatasetShapesMatchTableI) {
   const Dataset unsw = make_unsw_nb15(1);
   EXPECT_EQ(unsw.n_attack_classes(), 10u);
   EXPECT_EQ(unsw.n_features(), 40u);
+
+  // Table I's attack shares hold below the 64-row floor too: at these scales
+  // WUSTL-IIoT and CICIDS2017 have fewer than 64 attacks before the floor.
+  const double paper_attack_frac[] = {399417.0 / 820502.0, 87016.0 / 1194464.0,
+                                      557646.0 / 2830743.0, 93000.0 / 257673.0};
+  for (double scale : {1.0, 0.05, 0.02}) {
+    SCOPED_TRACE(scale);
+    const std::vector<Dataset> all = make_all_paper_datasets(1, scale);
+    ASSERT_EQ(all.size(), 4u);
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      SCOPED_TRACE(all[i].name);
+      EXPECT_GE(std::min(all[i].n_normals(), all[i].n_attacks()), 64u);
+      const double frac = static_cast<double>(all[i].n_attacks()) /
+                          static_cast<double>(all[i].size());
+      EXPECT_NEAR(frac, paper_attack_frac[i], 0.01);
+    }
+  }
 }
 
 TEST(Synth, DeterministicGivenSeed) {
@@ -173,6 +192,76 @@ TEST(Csv, RoundTrip) {
 
 TEST(Csv, LoadRejectsMissingFile) {
   EXPECT_THROW(load_csv("/tmp/does_not_exist_cnd.csv"), std::invalid_argument);
+}
+
+// Writes `body` under a two-feature header to a file named after `tag`.
+std::string write_csv(const std::string& tag, const std::string& body) {
+  const std::string path = ::testing::TempDir() + "/cnd_csv_" + tag + ".csv";
+  std::ofstream(path, std::ios::binary) << "f0,f1,label,attack_class\n" << body;
+  return path;
+}
+
+// load_csv must throw std::invalid_argument naming the file, the line and
+// `needle` for a file whose line 3 is bad.
+void expect_rejected(const std::string& tag, const std::string& bad_line,
+                     const std::string& needle) {
+  const std::string path = write_csv(tag, "0.5,1.5,0,-1\n" + bad_line + "\n");
+  try {
+    load_csv(path);
+    ADD_FAILURE() << "loaded " << bad_line;
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path + ":3:"), std::string::npos) << what;
+    EXPECT_NE(what.find(needle), std::string::npos) << what;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Csv, RejectsTrailingJunkInFeature) {
+  expect_rejected("junk", "0.3x,1,1,0", "'0.3x'");
+  expect_rejected("empty_cell", ",1,1,0", "cell 1");
+}
+
+TEST(Csv, RejectsNonIntegerLabelOrClass) {
+  expect_rejected("frac_label", "0.1,0.2,1.9,0", "'1.9'");
+  expect_rejected("nan_label", "0.1,0.2,nan,0", "'nan'");
+  expect_rejected("frac_class", "0.1,0.2,1,2.5", "'2.5'");
+  expect_rejected("wide_class", "0.1,0.2,1,2147483648", "'2147483648'");
+}
+
+TEST(Csv, RejectsLabelOutsideZeroOne) {
+  expect_rejected("label2", "0.1,0.2,2,0", "label 2");
+  expect_rejected("label_neg", "0.1,0.2,-1,-1", "label -1");
+}
+
+TEST(Csv, RejectsClassThatContradictsLabel) {
+  expect_rejected("normal_class", "0.1,0.2,0,3", "attack_class 3");
+  expect_rejected("attack_no_class", "0.1,0.2,1,-1", "attack_class -1");
+}
+
+TEST(Csv, RejectsRowWiderThanHeader) {
+  expect_rejected("wide_row", "0.1,0.2,1,0,7", "more cells");
+}
+
+TEST(Csv, RejectsAttackClassAboveCap) {
+  expect_rejected("class1024", "0.1,0.2,1,1024", "attack_class 1024");
+  expect_rejected("class2e6", "0.1,0.2,1,2000000", "attack_class 2000000");
+  expect_rejected("classmax", "0.1,0.2,1,2147483647", "attack_class 2147483647");
+}
+
+TEST(Csv, LoadsCrlfLinesAndNonFiniteFeatures) {
+  const std::string path =
+      write_csv("crlf", "0.5,nan,0,-1\r\ninf,-2e3,1,1023\r\n\r\n-inf,4,1,0\r\n");
+  const Dataset ds = load_csv(path);
+  ASSERT_EQ(ds.size(), 3u);
+  EXPECT_TRUE(std::isnan(ds.x(0, 1)));
+  EXPECT_EQ(ds.x(1, 0), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(ds.x(1, 1), -2000.0);
+  EXPECT_EQ(ds.x(2, 0), -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(ds.y, (std::vector<int>{0, 1, 1}));
+  EXPECT_EQ(ds.attack_class, (std::vector<int>{-1, 1023, 0}));
+  EXPECT_EQ(ds.class_names.size(), 1024u);
+  std::remove(path.c_str());
 }
 
 TEST(Experiences, ProtocolStructure) {

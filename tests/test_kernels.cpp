@@ -133,18 +133,25 @@ TEST(Kernels, MatchesReferenceFourThreads) {
 
 TEST(Kernels, RowSliceMatchesFullProduct) {
   Rng rng(11);
-  const Matrix a = random_matrix(37, 19, rng);
-  const Matrix b = random_matrix(23, 19, rng);
-  Matrix full, slice;
-  matmul_bt_into(full, a, b);
-  const std::vector<std::pair<std::size_t, std::size_t>> ranges = {
-      {0, 37}, {5, 12}, {0, 1}, {36, 37}, {8, 8}};
-  for (auto [lo, hi] : ranges) {
-    matmul_bt_rows_into(slice, a, lo, hi, b);
-    ASSERT_EQ(slice.rows(), hi - lo);
-    for (std::size_t i = lo; i < hi; ++i)
-      for (std::size_t j = 0; j < b.rows(); ++j)
-        EXPECT_EQ(slice(i - lo, j), full(i, j));
+  // k = 300 spans two p-panels, so a slice resumes C between panels; 41
+  // output columns leave a one-column last Bᵀ panel.
+  using Dims = std::pair<std::size_t, std::size_t>;
+  for (const auto& [k, nb] : {Dims{19, 23}, Dims{300, 41}}) {
+    SCOPED_TRACE(k);
+    const Matrix a = random_matrix(37, k, rng);
+    const Matrix b = random_matrix(nb, k, rng);
+    Matrix full, slice, ref;
+    matmul_bt_into(full, a, b);
+    kernels::matmul_bt_ref(ref, a, b);
+    EXPECT_TRUE(bit_identical(full, ref));
+    const std::vector<Dims> ranges = {{0, 37}, {5, 12}, {0, 1}, {36, 37}, {8, 8}};
+    for (auto [lo, hi] : ranges) {
+      matmul_bt_rows_into(slice, a, lo, hi, b);
+      ASSERT_EQ(slice.rows(), hi - lo);
+      for (std::size_t i = lo; i < hi; ++i)
+        for (std::size_t j = 0; j < b.rows(); ++j)
+          EXPECT_EQ(slice(i - lo, j), full(i, j));
+    }
   }
 }
 
@@ -318,6 +325,19 @@ TEST(ZeroAlloc, PcaScoreIntoSteadyState) {
   EXPECT_EQ(scores, pca.score(x));  // bit-identical to the allocating path
   const std::size_t before = g_news.load();
   for (int i = 0; i < 10; ++i) pca.score_into(x, scores, ws);
+  EXPECT_EQ(g_news.load() - before, 0u);
+}
+
+TEST(ZeroAlloc, PairwiseSqDistIntoSteadyState) {
+  ThreadsGuard guard(1);
+  Rng rng(17);
+  const Matrix a = random_matrix(40, 300, rng);  // two p-panels
+  const Matrix b = random_matrix(13, 300, rng);  // a padded last Bᵀ panel
+  Workspace ws;
+  Matrix d2;
+  for (int i = 0; i < 2; ++i) linalg::pairwise_sq_dist_into(d2, a, b, ws);
+  const std::size_t before = g_news.load();
+  for (int i = 0; i < 10; ++i) linalg::pairwise_sq_dist_into(d2, a, b, ws);
   EXPECT_EQ(g_news.load() - before, 0u);
 }
 

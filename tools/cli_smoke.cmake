@@ -1,7 +1,7 @@
 # End-to-end smoke test of the `cnd` CLI:
 # gen -> run -> score -> snapshot -> restore --explain, pack -> serve --out
 # at 1 and 4 shards, a malformed numeric flag, two out-of-range ones, a
-# misspelt one and a stray argument.
+# misspelt one, a stray argument and two malformed CSV files.
 # Invoked by ctest with -DCND_BIN=<path-to-binary>.
 if(NOT DEFINED CND_BIN)
   message(FATAL_ERROR "CND_BIN not set")
@@ -80,8 +80,8 @@ if(NOT attributed)
 endif()
 
 # pack -> serve --out: one "score verdict" line per flow, byte-identical at
-# 1 and 4 shards. 619 flows in 64-flow batches with a round every 200 flows
-# put three adaptation rounds, and their replica swaps, mid-stream.
+# 1 and 4 shards. 880 flows in 64-flow batches with a round every 200 flows
+# put four adaptation rounds, and their replica swaps, mid-stream.
 set(flows "${work}/smoke.bin")
 run_step("${CND_BIN}" pack "--data=${csv}" "--out=${flows}")
 if(NOT last_out MATCHES "packed ([0-9]+) flows")
@@ -107,6 +107,15 @@ endforeach()
 if(NOT sha_1 STREQUAL sha_4)
   message(FATAL_ERROR "serve --out differs between 1 and 4 shards")
 endif()
+
+# A malformed CSV cell fails the load, naming the cell, instead of loading
+# `0.3x` as 0.3 or the label `1.9` as 1.
+file(WRITE "${work}/junk_cell.csv" "f0,f1,label,attack_class\n0.3x,1.5,1,0\n")
+expect_rejected("'0.3x'" "${CND_BIN}" pack "--data=${work}/junk_cell.csv"
+                "--out=${work}/rejected.bin")
+file(WRITE "${work}/frac_label.csv" "f0,f1,label,attack_class\n0.5,1.5,1.9,0\n")
+expect_rejected("'1.9'" "${CND_BIN}" pack "--data=${work}/frac_label.csv"
+                "--out=${work}/rejected.bin")
 
 # A flag the subcommand does not read fails before a file is read, instead
 # of serving with adaptation off and the default epochs.
