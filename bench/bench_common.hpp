@@ -7,10 +7,12 @@
 // the working directory.
 #pragma once
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -51,32 +53,22 @@ struct BenchOptions {
   /// apply_ann_nprobe below. Flag form `--ann-nprobe=N` rejects N = 0 —
   /// exact mode is the absence of the flag, not a magic value.
   std::size_t ann_nprobe = 0;
+  /// Values of the bench's own `--name=value` flags (parse_options'
+  /// `extra_flags`), keyed by name; a flag not given has no entry.
+  std::map<std::string, std::string> extra;
 };
 
 namespace detail {
 
-/// Value of "--flag=v" as double; throws std::invalid_argument unless the
-/// whole value parses (rejects "--scale=abc" and "--scale=0.5x").
-inline double parse_double_flag(const std::string& arg, std::size_t prefix_len) {
-  const std::string v = arg.substr(prefix_len);
-  std::size_t pos = 0;
-  double x = 0.0;
-  try {
-    x = std::stod(v, &pos);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("bench: malformed value in '" + arg + "'");
-  }
-  if (v.empty() || pos != v.size())
-    throw std::invalid_argument("bench: malformed value in '" + arg + "'");
-  return x;
-}
-
-/// Value of "--flag=v" as non-negative integer: digits only, so a sign,
-/// whitespace, trailing junk or overflow throws. (std::stoull would skip
-/// the space in "--seed= -1" and wrap the -1 to 2^64 - 1.)
-inline std::uint64_t parse_uint_flag(const std::string& arg, std::size_t prefix_len) {
+/// Value of "--flag=v" as a T, parsed whole by std::from_chars: a leading
+/// blank, a '+' sign, hex, trailing junk or overflow throws
+/// std::invalid_argument, and so does a '-' for an unsigned T. (std::stod
+/// reads "--scale= 0.5", "+0.5" and "0x1p-1" as 0.5; std::stoull skips the
+/// blank in "--seed= -1" and wraps the -1 to 2^64 - 1.)
+template <typename T>
+T number_flag(const std::string& arg, std::size_t prefix_len) {
   const std::string_view v = std::string_view(arg).substr(prefix_len);
-  std::uint64_t x = 0;
+  T x{};
   const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), x);
   if (ec != std::errc() || end != v.data() + v.size())
     throw std::invalid_argument("bench: malformed value in '" + arg + "'");
@@ -87,8 +79,8 @@ inline std::uint64_t parse_uint_flag(const std::string& arg, std::size_t prefix_
 
 /// Flush the full metrics registry as one `metrics_snapshot` event line and
 /// flush the sink. Installed via std::atexit by enable_metrics_output so
-/// every bench exit path (including std::exit from google-benchmark) ends
-/// the JSONL stream with a complete counter/gauge/histogram dump.
+/// every bench exit path ends the JSONL stream with a complete
+/// counter/gauge/histogram dump.
 inline void write_metrics_snapshot() {
   if (!obs::events().enabled()) return;
   std::string line = "{\"event\":\"metrics_snapshot\",";
@@ -116,28 +108,19 @@ inline void enable_metrics_output(const std::string& path, const BenchOptions& o
 
 /// Parse "--scale=0.25 --seed=7 --threads=4 --metrics-out=run.jsonl
 /// --verbose" style argv (used by all benches). --metrics-out also accepts
-/// a separate-argument value ("--metrics-out run.jsonl"). Malformed values
-/// throw std::invalid_argument instead of silently defaulting; unknown
-/// arguments are ignored (google-benchmark binaries forward their own
-/// flags). A --threads value is applied to the parallel runtime
-/// immediately; a --metrics-out value turns observability on and attaches
-/// the JSONL file sink.
-inline BenchOptions parse_options(int argc, char** argv) {
+/// a separate-argument value ("--metrics-out run.jsonl"). `extra_flags`
+/// names a bench's own `--name=value` flags, whose values land in
+/// BenchOptions::extra. Malformed values, unknown flags and stray arguments
+/// throw std::invalid_argument naming the argument, so a misspelt flag
+/// never runs at its default. A --threads value is applied to the parallel
+/// runtime immediately; a --metrics-out value turns observability on and
+/// attaches the JSONL file sink.
+inline BenchOptions parse_options(int argc, char** argv,
+                                  const std::vector<std::string>& extra_flags = {}) {
   BenchOptions o;
 #ifdef CND_SANITIZER_BUILD
-  // Sanitizer instrumentation inflates wall-clock by 2-20x: timings from
-  // this binary must never land in a BENCH_*.json artifact. Refuse the
-  // google-benchmark JSON/console output flags outright and announce the
-  // mode, so a sanitizer run can only ever be a correctness run.
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind("--benchmark_out", 0) == 0 ||
-        a.rfind("--benchmark_format", 0) == 0)
-      throw std::invalid_argument(
-          "bench: refusing '" + a +
-          "' in a sanitizer build; timing artifacts (BENCH_*.json) must "
-          "come from a plain Release build");
-  }
+  // Sanitizer instrumentation inflates wall-clock by 2-20x; announce the
+  // mode so a sanitizer run reads as a correctness run only.
   std::fprintf(stderr,
                "bench: sanitizer build (CND_SANITIZER_BUILD) — correctness "
                "run only, timings are not representative\n");
@@ -145,58 +128,45 @@ inline BenchOptions parse_options(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a.rfind("--scale=", 0) == 0) {
-      o.size_scale = detail::parse_double_flag(a, 8);
+      o.size_scale = detail::number_flag<double>(a, 8);
       if (!std::isfinite(o.size_scale) || o.size_scale <= 0.0)
         throw std::invalid_argument("bench: --scale must be finite and > 0");
-    }
-    if (a.rfind("--seed=", 0) == 0) o.seed = detail::parse_uint_flag(a, 7);
-    if (a.rfind("--threads=", 0) == 0) {
-      o.threads = static_cast<std::size_t>(detail::parse_uint_flag(a, 10));
+    } else if (a.rfind("--seed=", 0) == 0) {
+      o.seed = detail::number_flag<std::uint64_t>(a, 7);
+    } else if (a.rfind("--threads=", 0) == 0) {
+      o.threads = detail::number_flag<std::size_t>(a, 10);
       if (o.threads == 0)
         throw std::invalid_argument("bench: --threads must be >= 1");
-    }
-    if (a.rfind("--metrics-out=", 0) == 0) {
+    } else if (a.rfind("--metrics-out=", 0) == 0) {
       o.metrics_out = a.substr(14);
       if (o.metrics_out.empty())
         throw std::invalid_argument("bench: --metrics-out needs a path");
-    }
-    if (a == "--metrics-out") {
+    } else if (a == "--metrics-out") {
       if (i + 1 >= argc)
         throw std::invalid_argument("bench: --metrics-out needs a path");
       o.metrics_out = argv[++i];
-    }
-    if (a.rfind("--ann-nprobe=", 0) == 0) {
-      o.ann_nprobe = static_cast<std::size_t>(detail::parse_uint_flag(a, 13));
+    } else if (a.rfind("--ann-nprobe=", 0) == 0) {
+      o.ann_nprobe = detail::number_flag<std::size_t>(a, 13);
       if (o.ann_nprobe == 0)
         throw std::invalid_argument(
             "bench: --ann-nprobe must be >= 1 (omit the flag for exact mode)");
+    } else if (a == "--verbose") {
+      o.verbose = true;
+    } else {
+      const auto extra = std::find_if(
+          extra_flags.begin(), extra_flags.end(),
+          [&](const std::string& f) { return a.rfind("--" + f + "=", 0) == 0; });
+      if (extra == extra_flags.end())
+        throw std::invalid_argument(
+            (a.rfind("--", 0) == 0 ? "bench: unknown flag '"
+                                   : "bench: stray argument '") +
+            a + "'");
+      o.extra[*extra] = a.substr(extra->size() + 3);
     }
-    if (a == "--verbose") o.verbose = true;
   }
   if (o.threads > 0) runtime::set_threads(o.threads);
   if (!o.metrics_out.empty()) enable_metrics_output(o.metrics_out, o);
   return o;
-}
-
-/// Remove the harness flags (--scale/--seed/--threads/--metrics-out/
-/// --verbose) from argv in place, updating argc. The google-benchmark
-/// binaries call this between parse_options and benchmark::Initialize —
-/// google-benchmark aborts on flags it does not recognize.
-inline void strip_harness_flags(int& argc, char** argv) {
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--metrics-out") {  // space form consumes its value too
-      if (i + 1 < argc) ++i;
-      continue;
-    }
-    const bool ours = a.rfind("--scale=", 0) == 0 || a.rfind("--seed=", 0) == 0 ||
-                      a.rfind("--threads=", 0) == 0 ||
-                      a.rfind("--metrics-out=", 0) == 0 ||
-                      a.rfind("--ann-nprobe=", 0) == 0 || a == "--verbose";
-    if (!ours) argv[out++] = argv[i];
-  }
-  argc = out;
 }
 
 /// Deterministic bench fan-out: run job(i) for every i in [0, n_jobs)

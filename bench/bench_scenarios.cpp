@@ -40,15 +40,6 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
-std::string string_flag(int argc, char** argv, const std::string& prefix) {
-  std::string v;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind(prefix, 0) == 0) v = a.substr(prefix.size());
-  }
-  return v;
-}
-
 data::Dataset make_dataset(const std::string& name, std::uint64_t seed,
                            double scale) {
   if (name == "x_iiotid") return data::make_x_iiotid(seed, scale);
@@ -74,25 +65,26 @@ void append_json_number(std::string& out, double v) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchOptions opt = bench::parse_options(argc, argv);
+  const bench::BenchOptions opt = bench::parse_options(
+      argc, argv, {"dataset", "scenarios", "detectors", "experiences"});
+  // An absent or empty extra flag keeps its default.
+  const auto extra = [&](const std::string& name) {
+    const auto it = opt.extra.find(name);
+    return it == opt.extra.end() ? std::string() : it->second;
+  };
 
   const std::string dataset_flag =
-      string_flag(argc, argv, "--dataset=").empty()
-          ? "unsw_nb15"
-          : string_flag(argc, argv, "--dataset=");
+      extra("dataset").empty() ? "unsw_nb15" : extra("dataset");
   std::vector<std::string> scenarios = scenario::scenario_names();
-  if (!string_flag(argc, argv, "--scenarios=").empty())
-    scenarios = split_csv(string_flag(argc, argv, "--scenarios="));
+  if (!extra("scenarios").empty()) scenarios = split_csv(extra("scenarios"));
   std::vector<std::string> detectors{"CND-IDS", "Adaptive", "PCA", "DIF"};
-  if (!string_flag(argc, argv, "--detectors=").empty())
-    detectors = split_csv(string_flag(argc, argv, "--detectors="));
+  if (!extra("detectors").empty()) detectors = split_csv(extra("detectors"));
 
   const data::Dataset ds = make_dataset(dataset_flag, opt.seed, opt.size_scale);
   std::size_t m = bench::paper_m(ds.name);
-  const std::string m_flag = string_flag(argc, argv, "--experiences=");
-  if (!m_flag.empty())
-    m = static_cast<std::size_t>(
-        bench::detail::parse_uint_flag("--experiences=" + m_flag, 14));
+  if (!extra("experiences").empty())
+    m = bench::detail::number_flag<std::size_t>(
+        "--experiences=" + extra("experiences"), 14);
 
   std::printf("=== Scenario x detector grid (docs/SCENARIOS.md) ===\n");
   std::printf("(dataset=%s scale=%.2f seed=%llu m=%zu)\n\n", ds.name.c_str(),

@@ -1,10 +1,12 @@
 #include "core/detector_factory.hpp"
 
 #include <functional>
+#include <iostream>
 #include <map>
 #include <stdexcept>
 #include <utility>
 
+#include "obs/scoped_timer.hpp"
 #include "tensor/rng.hpp"
 
 namespace cnd::core {
@@ -225,10 +227,16 @@ RunResult run_detector(const std::string& name, const DetectorConfig& cfg,
   // run_static_* helpers.
   static const Matrix kNoSeedX;
   static const std::vector<int> kNoSeedY;
+  obs::Stopwatch fit_timer;
   det->setup(SetupContext{es.n_clean, kNoSeedX, kNoSeedY});
   det->observe_experience(es.experiences.front().x_train);
-  return run_static_scorer(
+  const double fit_ms = fit_timer.elapsed_ms();
+  RunResult res = run_static_scorer(
       name, [&](const Matrix& x) { return det->score(x); }, es);
+  res.fit_ms_total = fit_ms;
+  if (rc.verbose)
+    std::cout << res.f1.to_string(res.detector_name + " on " + res.dataset_name);
+  return res;
 }
 
 }  // namespace cnd::core

@@ -95,6 +95,9 @@ std::string detector_description(const std::string& name);
 /// continual detectors through run_protocol, static ones through a
 /// one-time fit (on N_c or the first stream per their kind) followed by
 /// run_static_scorer. The RunResult's detector_name is the registry name.
+/// Both paths report fit and per-sample inference time (a static fit is
+/// setup plus the first observe) and print the R matrix when
+/// `rc.verbose` is set.
 RunResult run_detector(const std::string& name, const DetectorConfig& cfg,
                        const data::ExperienceSet& es, const RunConfig& rc = {});
 

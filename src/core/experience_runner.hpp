@@ -44,7 +44,8 @@ RunResult run_protocol(ContinualDetector& det, const data::ExperienceSet& es,
 
 /// Evaluate a *static* (fit once on N_c, never updated) scorer through the
 /// same matrix, for the Fig-4/Fig-5 ND baselines. `scorer` is called with
-/// each test matrix and must return one score per row.
+/// each test matrix and must return one score per row; those calls are
+/// timed into infer_ms_per_sample.
 template <typename ScoreFn>
 RunResult run_static_scorer(const std::string& name, ScoreFn&& scorer,
                             const data::ExperienceSet& es);

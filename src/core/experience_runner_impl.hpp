@@ -4,6 +4,7 @@
 
 #include "eval/metrics.hpp"
 #include "eval/threshold.hpp"
+#include "obs/scoped_timer.hpp"
 
 namespace cnd::core {
 
@@ -18,9 +19,14 @@ RunResult run_static_scorer(const std::string& name, ScoreFn&& scorer,
                 .has_pr_auc = true};
   // A static model gives the same scores regardless of the training
   // experience; evaluate each test set once and broadcast across rows.
+  double infer_ms = 0.0;
+  std::size_t infer_samples = 0;
   for (std::size_t j = 0; j < m; ++j) {
     const auto& e = es.experiences[j];
+    obs::Stopwatch t;
     const std::vector<double> s = scorer(e.x_test);
+    infer_ms += t.elapsed_ms();
+    infer_samples += e.x_test.rows();
     const auto best = eval::best_f_threshold(s, e.y_test);
     const double ap = eval::pr_auc(s, e.y_test);
     for (std::size_t i = 0; i < m; ++i) {
@@ -28,6 +34,8 @@ RunResult run_static_scorer(const std::string& name, ScoreFn&& scorer,
       res.pr_auc.set(i, j, ap);
     }
   }
+  res.infer_ms_per_sample =
+      infer_samples > 0 ? infer_ms / static_cast<double>(infer_samples) : 0.0;
   return res;
 }
 

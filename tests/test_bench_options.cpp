@@ -1,6 +1,6 @@
 // Regression tests for bench::parse_options: valid flags parse, malformed
-// values throw std::invalid_argument instead of silently defaulting, and
-// --threads applies to the parallel runtime.
+// values and unknown flags throw std::invalid_argument instead of silently
+// defaulting, and --threads applies to the parallel runtime.
 #include "bench_common.hpp"
 
 #include <gtest/gtest.h>
@@ -52,10 +52,27 @@ TEST(BenchOptions, ParsesAllFlags) {
   runtime::set_threads(0);  // restore the default for other tests
 }
 
-TEST(BenchOptions, UnknownFlagsAreIgnored) {
-  // google-benchmark binaries forward their own --benchmark_* flags.
-  const bench::BenchOptions o = parse({"--benchmark_filter=BM_Pca", "extra"});
-  EXPECT_DOUBLE_EQ(o.size_scale, 0.5);
+TEST(BenchOptions, UnknownFlagsAreRejected) {
+  // A misspelt flag or a stray argument must not run the bench at its
+  // defaults; the message names the argument.
+  for (const std::string arg : {"--sacle=0.05", "--verbose=1", "--scale",
+                                "--benchmark_filter=BM_Pca", "--dataset=x",
+                                "extra"}) {
+    SCOPED_TRACE(arg);
+    try {
+      parse({arg});
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(arg), std::string::npos);
+    }
+  }
+  // A bench's own flags parse where it declares them.
+  Argv a({"--dataset=cicids2017", "--scale=0.1"});
+  const bench::BenchOptions o =
+      bench::parse_options(a.argc(), a.argv(), {"dataset", "experiences"});
+  EXPECT_EQ(o.extra.at("dataset"), "cicids2017");
+  EXPECT_EQ(o.extra.count("experiences"), 0u);
+  EXPECT_DOUBLE_EQ(o.size_scale, 0.1);
 }
 
 TEST(BenchOptions, MalformedScaleThrows) {
@@ -66,6 +83,11 @@ TEST(BenchOptions, MalformedScaleThrows) {
   EXPECT_THROW(parse({"--scale=-1"}), std::invalid_argument);
   EXPECT_THROW(parse({"--scale=nan"}), std::invalid_argument);
   EXPECT_THROW(parse({"--scale=inf"}), std::invalid_argument);
+  // Parsed whole: no leading blank, '+' sign or hex (std::stod took all
+  // three as 0.5).
+  EXPECT_THROW(parse({"--scale= 0.5"}), std::invalid_argument);
+  EXPECT_THROW(parse({"--scale=+0.5"}), std::invalid_argument);
+  EXPECT_THROW(parse({"--scale=0x1p-1"}), std::invalid_argument);
 }
 
 TEST(BenchOptions, MalformedSeedThrows) {
@@ -111,16 +133,6 @@ TEST(BenchOptions, MetricsOutEnablesObservability) {
     obs::set_enabled(false);
   }
   std::remove(path.c_str());
-}
-
-TEST(BenchOptions, StripHarnessFlagsRemovesMetricsOut) {
-  Argv a({"--metrics-out=x.jsonl", "--keep1", "--metrics-out", "y.jsonl",
-          "--keep2", "--scale=0.5"});
-  int argc = a.argc();
-  bench::strip_harness_flags(argc, a.argv());
-  ASSERT_EQ(argc, 3);
-  EXPECT_STREQ(a.argv()[1], "--keep1");
-  EXPECT_STREQ(a.argv()[2], "--keep2");
 }
 
 }  // namespace

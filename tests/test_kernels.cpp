@@ -234,23 +234,30 @@ TEST(Kernels, FusedDistanceMatchesScalarWithinTolerance) {
 
 TEST(Kernels, DistancesThreadInvariant) {
   Rng rng(31);
-  const Matrix a = random_matrix(70, 12, rng);
-  Matrix d1, d4;
-  linalg::Knn k1, k4;
-  {
-    ThreadsGuard guard(1);
-    d1 = linalg::pairwise_dist(a, a);
-    k1 = linalg::knn(a, a, 5, /*exclude_self=*/true);
+  const Matrix sq = random_matrix(70, 12, rng);
+  // Rectangular: 57 queries against 41 references, a partial last Bᵀ panel.
+  const Matrix q = random_matrix(57, 13, rng);
+  const Matrix ref = random_matrix(41, 13, rng);
+  for (const auto& [a, b] : {std::pair{&sq, &sq}, std::pair{&q, &ref}}) {
+    SCOPED_TRACE(a->rows());
+    const bool self = a == b;
+    Matrix d1, d4;
+    linalg::Knn k1, k4;
+    {
+      ThreadsGuard guard(1);
+      d1 = linalg::pairwise_dist(*a, *b);
+      k1 = linalg::knn(*a, *b, 5, self);
+    }
+    {
+      ThreadsGuard guard(4);
+      d4 = linalg::pairwise_dist(*a, *b);
+      k4 = linalg::knn(*a, *b, 5, self);
+    }
+    EXPECT_TRUE(bit_identical(d1, d4));
+    EXPECT_EQ(k1.indices, k4.indices);
+    for (std::size_t i = 0; i < a->rows(); ++i)
+      EXPECT_EQ(k1.distances[i], k4.distances[i]);
   }
-  {
-    ThreadsGuard guard(4);
-    d4 = linalg::pairwise_dist(a, a);
-    k4 = linalg::knn(a, a, 5, /*exclude_self=*/true);
-  }
-  EXPECT_TRUE(bit_identical(d1, d4));
-  EXPECT_EQ(k1.indices, k4.indices);
-  for (std::size_t i = 0; i < a.rows(); ++i)
-    EXPECT_EQ(k1.distances[i], k4.distances[i]);
 }
 
 TEST(Kernels, KnnBreaksDistanceTiesByAscendingIndex) {

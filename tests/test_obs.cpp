@@ -307,6 +307,10 @@ TEST(DetectorFactory, EveryRegisteredNameConstructsAndScores) {
     const double avg = res.f1.avg_all();
     EXPECT_GE(avg, 0.0);
     EXPECT_LE(avg, 1.0);
+    // Static detectors are timed as continual ones are (Table IV's DIF and
+    // PCA rows read these fields).
+    EXPECT_GT(res.fit_ms_total, 0.0);
+    EXPECT_GT(res.infer_ms_per_sample, 0.0);
   }
 }
 

@@ -5,5 +5,3 @@
 # detector_factory.cpp is not named here, so the end-to-end determinism
 # sweep would silently skip it.
 DETECTORS=("CND-IDS")
-KERNELS=("matmul" "knn")
-"${BUILD_DIR}/bench/bench_micro_substrate" --dump-kernels=kernels.csv

@@ -11,10 +11,6 @@
 #
 # Legs, all on by default:
 #   bench      the bench above at 1 vs 4 lanes, telemetry off and on.
-#   kernels    bench_micro_substrate --dump-kernels writes fixed-seed outputs
-#              of every register-blocked kernel (ivf_knn included); the CSVs
-#              must be byte-identical at CND_THREADS=1 vs 4, and every name
-#              in KERNELS below must appear in them.
 #   serving    cnd gen -> cnd pack -> cnd serve --out replays one flow file
 #              through the sharded scoring service with adaptation rounds
 #              mid-stream; the per-flow verdict files must be byte-identical
@@ -28,8 +24,8 @@
 #
 # Environment:
 #   BUILD_DIR       Release build directory (default: build)
-#   TSAN_BUILD_DIR  optional: a -DCND_TSAN=ON build directory. The bench,
-#                   kernel and serving legs also run that tree's binaries
+#   TSAN_BUILD_DIR  optional: a -DCND_TSAN=ON build directory. The bench
+#                   and serving legs also run that tree's binaries
 #                   (4 lanes, 4 shards) and diff them against the Release
 #                   run — ThreadSanitizer instrumentation must not change a
 #                   single result byte.
@@ -61,18 +57,6 @@ DETECTORS=(
   "AE"
   "LOF"
   "OC-SVM"
-)
-
-# Every kernel case bench_micro_substrate --dump-kernels emits. cnd_analyze's
-# registry-coverage rule cross-checks this list against the bench source, so
-# a new kernel case cannot ship without the sweep below covering it.
-KERNELS=(
-  "matmul"
-  "matmul_bt"
-  "matmul_at"
-  "pairwise_dist"
-  "knn"
-  "ivf_knn"
 )
 
 BUILD_DIR=${BUILD_DIR:-build}
@@ -196,27 +180,6 @@ for dir in t1m t4m; do
     echo "OK   ${dir}/metrics.jsonl well-formed ($(wc -l < "${mfile}") lines)"
   fi
 done
-
-# ---- kernels leg: the accumulation-order contract end to end -------------
-if release_bin kernels "${BUILD_DIR}/bench/bench_micro_substrate"; then
-  run_at "${WORK}/k1" 1 "${BIN}" --dump-kernels=kernels.csv
-  run_at "${WORK}/k4" 4 "${BIN}" --dump-kernels=kernels.csv
-  same "${WORK}/k1/kernels.csv" "${WORK}/k4/kernels.csv" kernels.csv \
-      "CND_THREADS=1 and 4"
-  for kernel in "${KERNELS[@]}"; do
-    if grep -q "^${kernel}," "${WORK}/k1/kernels.csv"; then
-      echo "OK   kernel case '${kernel}' present in sweep"
-    else
-      echo "FAIL kernel case '${kernel}' absent from kernels.csv"
-      status=1
-    fi
-  done
-  if [ -n "${TSAN_BUILD_DIR:-}" ] && tsan_twin "${BIN}"; then
-    run_at "${WORK}/ktsan" 4 "${TWIN}" --dump-kernels=kernels.csv
-    same "${WORK}/k1/kernels.csv" "${WORK}/ktsan/kernels.csv" kernels.csv \
-        "Release t1 and TSan t4"
-  fi
-fi
 
 # ---- serving leg: verdicts independent of shard and lane counts ----------
 # 2000 flows in 128-flow batches with a round every 600 flows: three

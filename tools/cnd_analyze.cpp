@@ -55,9 +55,9 @@
 // home of DESIGN.md §4), no-clock (outside src/obs), no-unordered-iter
 // (range-for), no-pointer-hash, no-float (bit-exactness layers),
 // no-banned-fn, no-naked-mutex, include-hygiene, and registry-coverage
-// (tools/check_determinism.sh names every registered detector and kernel
-// dump case). The clock, pointer-hash, and unordered-container matchers are
-// the ones determinism-taint uses.
+// (tools/check_determinism.sh names every registered detector). The clock,
+// pointer-hash, and unordered-container matchers are the ones
+// determinism-taint uses.
 //
 // Findings print as `file:line: rule: message`, one per line, to stdout.
 // Any finding can be waived with a `// cnd-analyze: allow(rule[, rule])`
@@ -1764,16 +1764,12 @@ void check_tree_bans(const Model& m, std::vector<Finding>& out,
 
 /// registry-coverage: tools/check_determinism.sh must name every detector
 /// core::make_detector registers (`add("<name>"` in detector_factory.cpp),
-/// run bench_micro_substrate, and name every --dump-kernels case it emits
-/// (`dump_matrix("<case>"` and `fprintf(f, "<case>,%zu` rows), so the
-/// end-to-end determinism check cannot silently skip a detector or a
-/// blocked kernel. The rule is active when the model holds any of the
-/// three files: always in a tree scan, in the one fixture case that
-/// supplies them.
+/// so the end-to-end determinism check cannot silently skip a detector.
+/// The rule is active when the model holds either file: always in a tree
+/// scan, in the one fixture case that supplies them.
 void check_registry_coverage(const Model& m, std::vector<Finding>& out) {
   const std::string rule = "registry-coverage";
   const std::string factory_path = "src/core/detector_factory.cpp",
-                    bench_path = "bench/bench_micro_substrate.cpp",
                     script_path = "tools/check_determinism.sh";
   const auto find = [&](const std::string& vpath) -> const std::string* {
     for (const FileInfo& fi : m.files)
@@ -1781,55 +1777,33 @@ void check_registry_coverage(const Model& m, std::vector<Finding>& out) {
     return nullptr;
   };
   const std::string* factory = find(factory_path);
-  const std::string* bench = find(bench_path);
   const std::string* script = find(script_path);
-  if (!factory && !bench && !script) return;
+  if (!factory && !script) return;
   const auto flag = [&](const std::string& file, const std::string& msg) {
     out.push_back({file, 1, rule, msg});
   };
   for (const auto& [path, text] : {std::pair{&factory_path, factory},
-                                   std::pair{&bench_path, bench},
                                    std::pair{&script_path, script}})
     if (!text) flag(*path, "cannot read " + *path);
-  if (!factory || !bench || !script) return;
+  if (!factory || !script) return;
 
-  // Quoted names that follow `prefix` (at an identifier boundary) and are
-  // themselves followed by `suffix`.
-  const auto names_after = [](const std::string& text, std::string_view prefix,
-                              std::string_view suffix) {
-    std::set<std::string> names;
-    for (std::size_t at = text.find(prefix); at != std::string::npos;
-         at = text.find(prefix, at + 1)) {
-      if (at > 0 && ident_char(text[at - 1])) continue;
-      const std::size_t b = at + prefix.size();
-      const std::size_t e = text.find(suffix, b);
-      if (e != std::string::npos && e > b &&
-          text.find_first_of("\"\n", b) >= e)
-        names.insert(text.substr(b, e - b));
-    }
-    return names;
-  };
-  const std::set<std::string> detectors = names_after(*factory, "add(\"", "\"");
-  std::set<std::string> cases = names_after(*bench, "dump_matrix(\"", "\"");
-  for (const std::string& c : names_after(*bench, "fprintf(f, \"", ",%zu"))
-    if (std::all_of(c.begin(), c.end(),
-                    [](char ch) { return (ch >= 'a' && ch <= 'z') || ch == '_'; }))
-      cases.insert(c);
+  // Quoted names that follow `add("` at an identifier boundary.
+  const std::string_view prefix = "add(\"";
+  std::set<std::string> detectors;
+  for (std::size_t at = factory->find(prefix); at != std::string::npos;
+       at = factory->find(prefix, at + 1)) {
+    if (at > 0 && ident_char((*factory)[at - 1])) continue;
+    const std::size_t b = at + prefix.size();
+    const std::size_t e = factory->find_first_of("\"\n", b);
+    if (e != std::string::npos && e > b && (*factory)[e] == '"')
+      detectors.insert(factory->substr(b, e - b));
+  }
 
   if (detectors.empty())
     flag(factory_path, "no registered detectors found (parser drift?)");
   for (const std::string& name : detectors)
     if (script->find(name) == std::string::npos)
       flag(script_path, "registered detector '" + name +
-                            "' is not covered by check_determinism.sh");
-  if (cases.empty())
-    flag(bench_path, "no --dump-kernels cases found (parser drift?)");
-  if (script->find("bench_micro_substrate") == std::string::npos)
-    flag(script_path,
-         "check_determinism.sh never runs bench_micro_substrate's kernel sweep");
-  for (const std::string& c : cases)
-    if (script->find("\"" + c + "\"") == std::string::npos)
-      flag(script_path, "kernel dump case '" + c +
                             "' is not covered by check_determinism.sh");
 }
 
@@ -2064,8 +2038,7 @@ const std::vector<std::pair<std::string, std::string>>& rule_catalog() {
       {"include-hygiene",
        "no \"../\" or <bits/...> includes; first-party headers in quotes"},
       {"registry-coverage",
-       "tools/check_determinism.sh names every registered detector and "
-       "--dump-kernels case"},
+       "tools/check_determinism.sh names every registered detector"},
   };
   return rules;
 }
