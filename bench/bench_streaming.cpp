@@ -45,10 +45,9 @@ int main(int argc, char** argv) {
       for (const auto& e : es.experiences) {
         det->observe_experience(e.x_train);
         // Label-free POT threshold from the vouched clean window under the
-        // current encoder, at a 1% target false-alarm rate (the live stream
-        // may be ~50% attacks — never calibrate on it).
-        const double tau = eval::pot_threshold(
-            det->score(es.n_clean), {.tail_quantile = 0.9, .target_prob = 0.01});
+        // current encoder, at POT's default 1% target false-alarm rate (the
+        // live stream may be ~50% attacks — never calibrate on it).
+        const double tau = eval::pot_threshold(det->score(es.n_clean));
         const auto v = eval::apply_threshold(det->score(e.x_test), tau);
         const auto c = eval::confusion(v, e.y_test);
         total.tp += c.tp;

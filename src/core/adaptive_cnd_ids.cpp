@@ -11,6 +11,13 @@ namespace cnd::core {
 
 namespace {
 
+// The drift gate: Page-Hinkley tolerance on the score ratio, its alarm
+// level, and the stream chunk size (one PH observation per chunk-mean score
+// ratio).
+constexpr double kPhDelta = 0.1;
+constexpr double kPhLambda = 3.0;
+constexpr std::size_t kChunkRows = 64;
+
 // Feed chunk-mean score ratios into the Page-Hinkley test; true when any
 // chunk alarms. The adaptive streaming gate: pure arithmetic over the
 // score vector, runs on every incoming training stream.
@@ -36,18 +43,8 @@ double mean_of(std::span<const double> v) {
 
 }  // namespace
 
-// cnd-throw-ok(config validation — runs once at construction/bootstrap, never per batch)
-void AdaptiveTriggerConfig::validate() const {
-  require(ph_delta >= 0.0, "AdaptiveTriggerConfig: ph_delta must be >= 0");
-  require(ph_lambda > 0.0, "AdaptiveTriggerConfig: ph_lambda must be > 0");
-  require(chunk_rows >= 8, "AdaptiveTriggerConfig: chunk_rows must be >= 8");
-}
-
-AdaptiveCndIds::AdaptiveCndIds(const CndIdsConfig& detector,
-                               const AdaptiveTriggerConfig& trigger)
-    : trig_((trigger.validate(), trigger)),
-      detector_(detector),
-      ph_(trigger.ph_delta, trigger.ph_lambda, /*min_samples=*/4) {}
+AdaptiveCndIds::AdaptiveCndIds(const CndIdsConfig& detector)
+    : detector_(detector), ph_(kPhDelta, kPhLambda, /*min_samples=*/4) {}
 
 std::string AdaptiveCndIds::name() const { return "Adaptive"; }
 
@@ -67,7 +64,7 @@ void AdaptiveCndIds::refit(const Matrix& x_train) {
   ref_mean_ = std::max(mean_of(clean_scores), 1e-12);
   ph_.reset();
   const std::size_t cal_chunk = std::max<std::size_t>(
-      1, std::min(trig_.chunk_rows, clean_scores.size() / 4));
+      1, std::min(kChunkRows, clean_scores.size() / 4));
   (void)drift_gate(ph_, clean_scores, cal_chunk, ref_mean_);
   ++updates_;
   obs::MetricsRegistry& m = obs::metrics();
@@ -89,7 +86,7 @@ void AdaptiveCndIds::observe_experience(const Matrix& x_train) {
   }
   const std::vector<double> scores = detector_.score(x_train);
   const double mean_ratio = mean_of(scores) / ref_mean_;
-  const bool drift = drift_gate(ph_, scores, trig_.chunk_rows, ref_mean_);
+  const bool drift = drift_gate(ph_, scores, kChunkRows, ref_mean_);
   obs::MetricsRegistry& m = obs::metrics();
   obs::events().emit("adaptive.gate", {{"stream_rows", x_train.rows()},
                                        {"mean_ratio", mean_ratio},

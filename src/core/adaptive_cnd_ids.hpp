@@ -24,22 +24,9 @@
 
 namespace cnd::core {
 
-struct AdaptiveTriggerConfig {
-  double ph_delta = 0.1;   ///< Page-Hinkley tolerance on the score ratio.
-  double ph_lambda = 3.0;  ///< Page-Hinkley alarm level.
-  /// Stream chunk size for the drift statistic (one PH observation per
-  /// chunk-mean score ratio).
-  std::size_t chunk_rows = 64;
-
-  /// Check every field; throws std::invalid_argument naming the offending
-  /// field. Called by the AdaptiveCndIds constructor.
-  void validate() const;
-};
-
 class AdaptiveCndIds final : public ContinualDetector {
  public:
-  explicit AdaptiveCndIds(const CndIdsConfig& detector = {},
-                          const AdaptiveTriggerConfig& trigger = {});
+  explicit AdaptiveCndIds(const CndIdsConfig& detector = {});
 
   std::string name() const override;
   void setup(const SetupContext& ctx) override;
@@ -64,7 +51,6 @@ class AdaptiveCndIds final : public ContinualDetector {
   /// Page-Hinkley baseline on the clean window.
   void refit(const Matrix& x_train);
 
-  AdaptiveTriggerConfig trig_;  // cnd-snapshot: skip(construction-time config — the restoring detector is built with it)
   CndIds detector_;
   ml::PageHinkley ph_;
   // cnd-snapshot: skip(clean-window data, not model state — snapshots ship the model only)

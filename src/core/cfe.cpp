@@ -34,7 +34,7 @@ CfeFitStats Cfe::fit_experience(const Matrix& x_train, const Matrix& n_clean) {
   if (!ae_.initialized()) {
     ae_ = nn::Autoencoder(
         {.input_dim = x_train.cols(), .hidden_dim = cfg_.hidden_dim,
-         .latent_dim = cfg_.latent_dim, .dropout = cfg_.dropout},
+         .latent_dim = cfg_.latent_dim},
         rng_);
   }
   require(x_train.cols() == ae_.config().input_dim,
@@ -239,8 +239,7 @@ void Cfe::restore_encoder(nn::Sequential encoder, std::size_t input_dim) {
   ae_.restore_encoder(std::move(encoder),
                       {.input_dim = input_dim,
                        .hidden_dim = cfg_.hidden_dim,
-                       .latent_dim = cfg_.latent_dim,
-                       .dropout = 0.0});
+                       .latent_dim = cfg_.latent_dim});
   restored_ = true;
 }
 

@@ -34,7 +34,6 @@ enum class ClMode { kSnapshots, kReplay, kEwc };
 struct CfeConfig {
   std::size_t hidden_dim = 256;  ///< paper: 256-unit hidden layers.
   std::size_t latent_dim = 256;  ///< over-complete latent ("256 neurons").
-  double dropout = 0.0;          ///< optional hidden-layer dropout.
   double lambda_r = 0.1;         ///< paper: 0.1.
   double lambda_cl = 0.1;        ///< paper: 0.1.
   double margin = 1.0;           ///< triplet margin m.

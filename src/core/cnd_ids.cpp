@@ -29,8 +29,6 @@ void ContinualDetector::restore(std::istream&) {
 void CndIdsConfig::validate() const {
   require(cfe.hidden_dim > 0, "CndIdsConfig: cfe.hidden_dim must be > 0");
   require(cfe.latent_dim > 0, "CndIdsConfig: cfe.latent_dim must be > 0");
-  require(cfe.dropout >= 0.0 && cfe.dropout < 1.0,
-          "CndIdsConfig: cfe.dropout out of [0,1)");
   require(cfe.lambda_r >= 0.0 && cfe.lambda_r <= 1.0,
           "CndIdsConfig: cfe.lambda_r out of [0,1]");
   require(cfe.lambda_cl >= 0.0 && cfe.lambda_cl <= 1.0,

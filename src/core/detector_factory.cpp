@@ -94,7 +94,7 @@ Registry builtin_registry() {
       "the paper's detector: CFE encoder + PCA scoring, refits every "
       "experience");
   add("Adaptive", DetectorKind::kContinual, [](const DetectorConfig& c) {
-    return std::make_unique<AdaptiveCndIds>(c.cnd, c.adaptive);
+    return std::make_unique<AdaptiveCndIds>(c.cnd);
   },
       "drift-gated CND-IDS: Page-Hinkley on stream scores decides when to "
       "refit");

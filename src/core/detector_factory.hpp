@@ -54,9 +54,6 @@ struct DetectorConfig {
   CndIdsConfig cnd;
   baselines::AdcnConfig adcn;
   baselines::LwfConfig lwf;
-  /// Drift-gate knobs for "Adaptive" (which shares `cnd` for its inner
-  /// CND-IDS model).
-  AdaptiveTriggerConfig adaptive;
 
   ml::PcaConfig pca{.explained_variance = 0.95};
   ml::DeepIsolationForestConfig dif{.n_representations = 24, .trees_per_repr = 6};

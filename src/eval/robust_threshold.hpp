@@ -11,8 +11,8 @@
 namespace cnd::eval {
 
 struct PotConfig {
-  double tail_quantile = 0.95;  ///< excesses above this quantile form the tail.
-  double target_prob = 1e-3;    ///< desired P(score > threshold) on normal data.
+  double tail_quantile = 0.9;  ///< excesses above this quantile form the tail.
+  double target_prob = 0.01;   ///< desired P(score > threshold) on normal data.
 };
 
 /// Exponential-tail peaks-over-threshold threshold.

@@ -2,6 +2,7 @@
 
 #include "nn/activations.hpp"
 #include "nn/linear.hpp"
+#include "runtime/parallel_for.hpp"
 #include "tensor/assert.hpp"
 
 namespace cnd::ml {
@@ -35,15 +36,17 @@ Matrix DeepIsolationForest::represent(std::size_t r, const Matrix& x) const {
 
 std::vector<double> DeepIsolationForest::score(const Matrix& x) const {
   require(fitted(), "DeepIsolationForest::score: not fitted");
-  // The representation loop stays serial (forward() touches shared layer
-  // buffers); the batch parallelism lives one level down, in the matmuls of
-  // represent() and the per-row IsolationForest::score.
+  // One task per representation: each owns its net and forest, so tasks
+  // share nothing but `x`. The sum then runs in representation order, the
+  // same additions at any lane count.
+  std::vector<std::vector<double>> per_repr(forests_.size());
+  runtime::parallel_for(0, forests_.size(), 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t r = lo; r < hi; ++r)
+      per_repr[r] = forests_[r].score(represent(r, x));
+  });
   std::vector<double> out(x.rows(), 0.0);
-  for (std::size_t r = 0; r < forests_.size(); ++r) {
-    const Matrix z = represent(r, x);
-    const auto s = forests_[r].score(z);
+  for (const auto& s : per_repr)
     for (std::size_t i = 0; i < out.size(); ++i) out[i] += s[i];
-  }
   for (double& v : out) v /= static_cast<double>(forests_.size());
   return out;
 }

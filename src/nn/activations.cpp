@@ -4,23 +4,11 @@
 
 #include "tensor/assert.hpp"
 
-// All three activations are element-wise, so their _into overrides tolerate
+// Both activations are element-wise, so their _into overrides tolerate
 // `&y == &x` / `&grad_in == &grad_out`: each output element depends only on
 // the same-position input element (and the layer's own cache).
 
 namespace cnd::nn {
-
-Matrix ReLU::forward(const Matrix& x, bool train) {
-  Matrix y;
-  forward_into(x, y, train);
-  return y;
-}
-
-Matrix ReLU::backward(const Matrix& grad_out) {
-  Matrix g;
-  backward_into(grad_out, g);
-  return g;
-}
 
 void ReLU::forward_into(const Matrix& x, Matrix& y, bool train) {
   if (train) x_cache_ = x;
@@ -46,18 +34,6 @@ void ReLU::backward_into(const Matrix& grad_out, Matrix& grad_in) {
 
 std::unique_ptr<Layer> ReLU::clone() const { return std::make_unique<ReLU>(); }
 
-Matrix Tanh::forward(const Matrix& x, bool train) {
-  Matrix y;
-  forward_into(x, y, train);
-  return y;
-}
-
-Matrix Tanh::backward(const Matrix& grad_out) {
-  Matrix g;
-  backward_into(grad_out, g);
-  return g;
-}
-
 void Tanh::forward_into(const Matrix& x, Matrix& y, bool train) {
   y.resize(x.rows(), x.cols());
   for (std::size_t i = 0; i < y.rows(); ++i) {
@@ -81,42 +57,5 @@ void Tanh::backward_into(const Matrix& grad_out, Matrix& grad_in) {
 }
 
 std::unique_ptr<Layer> Tanh::clone() const { return std::make_unique<Tanh>(); }
-
-Matrix Sigmoid::forward(const Matrix& x, bool train) {
-  Matrix y;
-  forward_into(x, y, train);
-  return y;
-}
-
-Matrix Sigmoid::backward(const Matrix& grad_out) {
-  Matrix g;
-  backward_into(grad_out, g);
-  return g;
-}
-
-void Sigmoid::forward_into(const Matrix& x, Matrix& y, bool train) {
-  y.resize(x.rows(), x.cols());
-  for (std::size_t i = 0; i < y.rows(); ++i) {
-    auto yr = y.row(i);
-    auto xr = x.row(i);
-    for (std::size_t j = 0; j < y.cols(); ++j)
-      yr[j] = 1.0 / (1.0 + std::exp(-xr[j]));
-  }
-  if (train) y_cache_ = y;
-}
-
-void Sigmoid::backward_into(const Matrix& grad_out, Matrix& grad_in) {
-  require(grad_out.same_shape(y_cache_), "Sigmoid::backward: shape mismatch");  // cnd-throw-ok(precondition on caller-supplied shapes/arguments — programmer error, not traffic)
-  grad_in.resize(grad_out.rows(), grad_out.cols());
-  for (std::size_t i = 0; i < grad_in.rows(); ++i) {
-    auto gr = grad_in.row(i);
-    auto go = grad_out.row(i);
-    auto yr = y_cache_.row(i);
-    for (std::size_t j = 0; j < grad_in.cols(); ++j)
-      gr[j] = go[j] * yr[j] * (1.0 - yr[j]);
-  }
-}
-
-std::unique_ptr<Layer> Sigmoid::clone() const { return std::make_unique<Sigmoid>(); }
 
 }  // namespace cnd::nn

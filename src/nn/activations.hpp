@@ -7,8 +7,6 @@ namespace cnd::nn {
 
 class ReLU final : public Layer {
  public:
-  Matrix forward(const Matrix& x, bool train) override;
-  Matrix backward(const Matrix& grad_out) override;
   void forward_into(const Matrix& x, Matrix& y, bool train) override;
   void backward_into(const Matrix& grad_out, Matrix& grad_in) override;
   std::unique_ptr<Layer> clone() const override;
@@ -19,20 +17,6 @@ class ReLU final : public Layer {
 
 class Tanh final : public Layer {
  public:
-  Matrix forward(const Matrix& x, bool train) override;
-  Matrix backward(const Matrix& grad_out) override;
-  void forward_into(const Matrix& x, Matrix& y, bool train) override;
-  void backward_into(const Matrix& grad_out, Matrix& grad_in) override;
-  std::unique_ptr<Layer> clone() const override;
-
- private:
-  Matrix y_cache_;
-};
-
-class Sigmoid final : public Layer {
- public:
-  Matrix forward(const Matrix& x, bool train) override;
-  Matrix backward(const Matrix& grad_out) override;
   void forward_into(const Matrix& x, Matrix& y, bool train) override;
   void backward_into(const Matrix& grad_out, Matrix& grad_in) override;
   std::unique_ptr<Layer> clone() const override;

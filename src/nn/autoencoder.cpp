@@ -1,7 +1,5 @@
 #include "nn/autoencoder.hpp"
 
-#include "nn/regularization.hpp"
-
 #include "tensor/assert.hpp"
 
 namespace cnd::nn {
@@ -10,17 +8,11 @@ Autoencoder::Autoencoder(const AutoencoderConfig& cfg, Rng& rng) : cfg_(cfg) {
   require(cfg.input_dim > 0, "Autoencoder: input_dim must be > 0");
   require(cfg.hidden_dim > 0 && cfg.latent_dim > 0,
           "Autoencoder: hidden/latent dims must be > 0");
-  require(cfg.dropout >= 0.0 && cfg.dropout < 1.0,
-          "Autoencoder: dropout out of [0, 1)");
   encoder_.add(std::make_unique<Linear>(cfg.input_dim, cfg.hidden_dim, rng));
   encoder_.add(std::make_unique<ReLU>());
-  if (cfg.dropout > 0.0)
-    encoder_.add(std::make_unique<Dropout>(cfg.dropout, rng.split(1).draw_u64()));
   encoder_.add(std::make_unique<Linear>(cfg.hidden_dim, cfg.latent_dim, rng));
   decoder_.add(std::make_unique<Linear>(cfg.latent_dim, cfg.hidden_dim, rng));
   decoder_.add(std::make_unique<ReLU>());
-  if (cfg.dropout > 0.0)
-    decoder_.add(std::make_unique<Dropout>(cfg.dropout, rng.split(2).draw_u64()));
   decoder_.add(std::make_unique<Linear>(cfg.hidden_dim, cfg.input_dim, rng));
 }
 

@@ -16,7 +16,6 @@ struct AutoencoderConfig {
   std::size_t input_dim = 0;
   std::size_t hidden_dim = 256;  ///< paper default
   std::size_t latent_dim = 32;
-  double dropout = 0.0;          ///< hidden-layer dropout (0 = off).
 };
 
 class Autoencoder {

@@ -1,8 +1,11 @@
 // Layer interface for the from-scratch neural network library.
 //
-// Training uses explicit reverse-mode: forward() caches what backward()
-// needs, backward() receives dL/d(output) and returns dL/d(input) while
-// accumulating parameter gradients. Batches are Matrix rows.
+// Training uses explicit reverse-mode: a training forward pass caches what
+// the backward pass needs, and backward receives dL/d(output) and returns
+// dL/d(input) while accumulating parameter gradients. Batches are Matrix
+// rows. Every layer implements one compute path, forward_into /
+// backward_into, writing into caller-owned outputs; forward / backward are
+// allocating conveniences defined once on top of it.
 #pragma once
 
 #include <memory>
@@ -14,7 +17,7 @@
 namespace cnd::nn {
 
 /// A trainable parameter: the value and its accumulated gradient, both owned
-/// by the layer. Optimizers mutate `value` and read/zero `grad`.
+/// by the layer. Adam mutates `value` and reads/zeroes `grad`.
 struct Param {
   Matrix* value;
   Matrix* grad;
@@ -24,29 +27,30 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Forward pass. When `train` is true the layer caches activations for a
-  /// subsequent backward(); inference passes should use train = false.
-  virtual Matrix forward(const Matrix& x, bool train) = 0;
+  /// Forward pass into a caller-provided output, resized in place (zero heap
+  /// traffic at a steady batch shape). When `train` is true the layer caches
+  /// activations for a subsequent backward; inference passes use
+  /// train = false. Element-wise layers tolerate `&y == &x`; layers that
+  /// cannot (e.g. Linear) reject aliasing with `require`.
+  virtual void forward_into(const Matrix& x, Matrix& y, bool train) = 0;
 
-  /// Backward pass for the most recent training forward(). Accumulates into
-  /// parameter gradients and returns dL/d(input).
-  virtual Matrix backward(const Matrix& grad_out) = 0;
+  /// Backward pass for the most recent training forward: writes dL/d(input)
+  /// into `grad_in` (resized in place) while accumulating parameter
+  /// gradients.
+  virtual void backward_into(const Matrix& grad_out, Matrix& grad_in) = 0;
 
-  /// Forward pass into a caller-provided output, resized in place. Hot
-  /// layers override this to reuse `y`'s allocation (zero heap traffic at a
-  /// steady batch shape); the default adapter falls back to the allocating
-  /// forward(). Element-wise layers tolerate `&y == &x`; layers that cannot
-  /// (e.g. Linear) reject aliasing with `require`.
-  // cnd-alloc-ok(default adapter delegates to the allocating forward(); hot layers override)
-  virtual void forward_into(const Matrix& x, Matrix& y, bool train) {
-    y = forward(x, train);
+  /// forward_into a fresh matrix.
+  Matrix forward(const Matrix& x, bool train) {
+    Matrix y;
+    forward_into(x, y, train);
+    return y;
   }
 
-  /// Backward counterpart of forward_into: writes dL/d(input) into
-  /// `grad_in` (resized in place) while accumulating parameter gradients.
-  // cnd-alloc-ok(default adapter delegates to the allocating backward(); hot layers override)
-  virtual void backward_into(const Matrix& grad_out, Matrix& grad_in) {
-    grad_in = backward(grad_out);
+  /// backward_into a fresh matrix.
+  Matrix backward(const Matrix& grad_out) {
+    Matrix g;
+    backward_into(grad_out, g);
+    return g;
   }
 
   /// Trainable parameters (empty for activations).

@@ -16,18 +16,6 @@ Linear::Linear(std::size_t in, std::size_t out, Rng& rng)
     for (std::size_t j = 0; j < out; ++j) w_(i, j) = rng.uniform(-bound, bound);
 }
 
-Matrix Linear::forward(const Matrix& x, bool train) {
-  Matrix y;
-  forward_into(x, y, train);
-  return y;
-}
-
-Matrix Linear::backward(const Matrix& grad_out) {
-  Matrix g;
-  backward_into(grad_out, g);
-  return g;
-}
-
 // cnd-hot
 void Linear::forward_into(const Matrix& x, Matrix& y, bool train) {
   require(x.cols() == w_.rows(), "Linear::forward: input width mismatch");  // cnd-throw-ok(precondition on caller-supplied shapes/arguments — programmer error, not traffic)

@@ -10,8 +10,6 @@ class Linear final : public Layer {
   /// Kaiming-uniform initialization, suitable for the ReLU nets used here.
   Linear(std::size_t in, std::size_t out, Rng& rng);
 
-  Matrix forward(const Matrix& x, bool train) override;
-  Matrix backward(const Matrix& grad_out) override;
   void forward_into(const Matrix& x, Matrix& y, bool train) override;
   void backward_into(const Matrix& grad_out, Matrix& grad_in) override;
   std::vector<Param> params() override;

@@ -50,7 +50,7 @@ double MlpClassifier::fit(const Matrix& x, const std::vector<std::size_t>& y) {
 }
 
 std::vector<std::size_t> MlpClassifier::predict(const Matrix& x) {
-  Matrix logits = net_.predict(x);
+  Matrix logits = net_.forward(x, /*train=*/false);
   std::vector<std::size_t> out(x.rows());
   for (std::size_t i = 0; i < x.rows(); ++i) {
     auto r = logits.row(i);
@@ -62,7 +62,7 @@ std::vector<std::size_t> MlpClassifier::predict(const Matrix& x) {
 
 std::vector<double> MlpClassifier::predict_proba1(const Matrix& x) {
   require(cfg_.n_classes == 2, "predict_proba1: binary classifiers only");
-  Matrix logits = net_.predict(x);
+  Matrix logits = net_.forward(x, /*train=*/false);
   std::vector<double> out(x.rows());
   for (std::size_t i = 0; i < x.rows(); ++i) {
     const double z0 = logits(i, 0);

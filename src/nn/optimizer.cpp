@@ -7,21 +7,15 @@
 
 namespace cnd::nn {
 
-void Sgd::step(std::vector<Param> params) {
-  for (auto& p : params) {
-    CND_CHECK(p.value->same_shape(*p.grad), "Sgd::step: gradient shape differs from its parameter");
-    CND_DCHECK_ALL_FINITE(*p.grad, "Sgd::step: non-finite gradient");
-    for (std::size_t i = 0; i < p.value->rows(); ++i) {
-      auto w = p.value->row(i);
-      auto g = p.grad->row(i);
-      for (std::size_t j = 0; j < p.value->cols(); ++j) w[j] -= lr_ * g[j];
-    }
-    *p.grad *= 0.0;
-  }
-}
+namespace {
 
-Adam::Adam(double lr, double beta1, double beta2, double eps)
-    : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {
+constexpr double kBeta1 = 0.9;
+constexpr double kBeta2 = 0.999;
+constexpr double kEps = 1e-8;
+
+}  // namespace
+
+Adam::Adam(double lr) : lr_(lr) {
   require(lr > 0.0, "Adam: lr must be > 0");
 }
 
@@ -34,8 +28,8 @@ void Adam::step(std::vector<Param> params) {
   }
   require(m_.size() == params.size(), "Adam: parameter list changed size");
   ++t_;
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  const double bc1 = 1.0 - std::pow(kBeta1, static_cast<double>(t_));
+  const double bc2 = 1.0 - std::pow(kBeta2, static_cast<double>(t_));
   for (std::size_t k = 0; k < params.size(); ++k) {
     auto& p = params[k];
     CND_CHECK(p.value->same_shape(*p.grad), "Adam::step: gradient shape differs from its parameter");
@@ -47,11 +41,11 @@ void Adam::step(std::vector<Param> params) {
       auto m = m_[k].row(i);
       auto v = v_[k].row(i);
       for (std::size_t j = 0; j < p.value->cols(); ++j) {
-        m[j] = beta1_ * m[j] + (1.0 - beta1_) * g[j];
-        v[j] = beta2_ * v[j] + (1.0 - beta2_) * g[j] * g[j];
+        m[j] = kBeta1 * m[j] + (1.0 - kBeta1) * g[j];
+        v[j] = kBeta2 * v[j] + (1.0 - kBeta2) * g[j] * g[j];
         const double mhat = m[j] / bc1;
         const double vhat = v[j] / bc2;
-        w[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
+        w[j] -= lr_ * mhat / (std::sqrt(vhat) + kEps);
       }
     }
     *p.grad *= 0.0;

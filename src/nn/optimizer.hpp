@@ -1,8 +1,9 @@
-// Gradient-descent optimizers.
+// Adam (Kingma & Ba), the optimizer the paper trains the CFE with
+// (lr = 0.001 in the paper's setup).
 //
-// Optimizers operate on the Param list a network exposes; Adam keeps its
-// moment state positionally, so a given optimizer instance must always be
-// stepped with the same network.
+// Adam operates on the Param list a network exposes and keeps its moment
+// state positionally, so a given instance must always be stepped with the
+// same network.
 #pragma once
 
 #include <vector>
@@ -11,33 +12,18 @@
 
 namespace cnd::nn {
 
-class Optimizer {
+class Adam {
  public:
-  virtual ~Optimizer() = default;
+  /// The paper's moment decays and epsilon (beta1 = 0.9, beta2 = 0.999,
+  /// eps = 1e-8) are fixed; only the learning rate varies between callers.
+  explicit Adam(double lr = 1e-3);
+
   /// Apply one update using the gradients currently accumulated in `params`,
   /// then zero those gradients.
-  virtual void step(std::vector<Param> params) = 0;
-};
-
-class Sgd final : public Optimizer {
- public:
-  explicit Sgd(double lr) : lr_(lr) {}
-  void step(std::vector<Param> params) override;
+  void step(std::vector<Param> params);
 
  private:
   double lr_;
-};
-
-/// Adam (Kingma & Ba), the optimizer the paper trains the CFE with
-/// (lr = 0.001 in the paper's setup).
-class Adam final : public Optimizer {
- public:
-  explicit Adam(double lr = 1e-3, double beta1 = 0.9, double beta2 = 0.999,
-                double eps = 1e-8);
-  void step(std::vector<Param> params) override;
-
- private:
-  double lr_, beta1_, beta2_, eps_;
   long t_ = 0;
   std::vector<Matrix> m_;  // first moments, positional per param
   std::vector<Matrix> v_;  // second moments

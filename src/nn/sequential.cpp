@@ -22,18 +22,6 @@ void Sequential::add(std::unique_ptr<Layer> layer) {
   layers_.push_back(std::move(layer));
 }
 
-Matrix Sequential::forward(const Matrix& x, bool train) {
-  Matrix h;
-  forward_into(x, h, train);
-  return h;
-}
-
-Matrix Sequential::backward(const Matrix& grad_out) {
-  Matrix g;
-  backward_into(grad_out, g);
-  return g;
-}
-
 // cnd-hot
 void Sequential::forward_into(const Matrix& x, Matrix& y, bool train) {
   if (layers_.empty()) {

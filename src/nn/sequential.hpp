@@ -19,8 +19,6 @@ class Sequential final : public Layer {
   void add(std::unique_ptr<Layer> layer);
   std::size_t depth() const { return layers_.size(); }
 
-  Matrix forward(const Matrix& x, bool train) override;
-  Matrix backward(const Matrix& grad_out) override;
   void forward_into(const Matrix& x, Matrix& y, bool train) override;
   void backward_into(const Matrix& grad_out, Matrix& grad_in) override;
   std::vector<Param> params() override;
@@ -28,9 +26,6 @@ class Sequential final : public Layer {
   void zero_grad() override {
     for (auto& l : layers_) l->zero_grad();
   }
-
-  /// Inference shortcut (no caching).
-  Matrix predict(const Matrix& x) { return forward(x, /*train=*/false); }
 
  private:
   std::vector<std::unique_ptr<Layer>> layers_;

@@ -21,7 +21,10 @@ std::shared_ptr<const ServingArtifact> make_artifact(
   a->threshold = threshold;
   std::ostringstream os(std::ios::binary);
   det.snapshot(os);
-  a->model_bytes = std::move(os).str();
+  // A copy, not std::move(os).str(): the stream's buffer keeps its growth
+  // slack (a 39 KB snapshot sat in 64 KB), and a published artifact lives
+  // as long as any batch or replica refers to it.
+  a->model_bytes = os.str();
   return a;
 }
 

@@ -18,8 +18,6 @@ void ServiceConfig::validate() const {
   require(shards >= 1 && shards <= kMaxShards,
           "ServiceConfig: shards out of [1, kMaxShards = 256]");
   require(queue_capacity >= 1, "ServiceConfig: queue_capacity must be >= 1");
-  require(target_fpr > 0.0 && target_fpr < 0.05,
-          "ServiceConfig: target_fpr out of (0, 0.05)");
 }
 
 ScoringService::ScoringService(const ServiceConfig& cfg)
@@ -63,9 +61,7 @@ void ScoringService::bootstrap(const Matrix& n_clean) {
 }
 
 void ScoringService::calibrate() {
-  threshold_ = eval::pot_threshold(
-      trainer_->score(n_clean_),
-      {.tail_quantile = 0.9, .target_prob = cfg_.target_fpr});
+  threshold_ = eval::pot_threshold(trainer_->score(n_clean_));
 }
 
 void ScoringService::publish() {

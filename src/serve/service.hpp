@@ -67,8 +67,6 @@ struct ServiceConfig {
   /// In [1, kMaxShards].
   std::size_t shards = 1;
   std::size_t queue_capacity = 64;
-  /// POT target false-alarm probability for the calibrated threshold.
-  double target_fpr = 0.01;
   /// 0 = adaptation off. Otherwise an adaptation round (trainer
   /// observe_experience on the flows admitted since the last round, minus
   /// those with a non-finite feature + threshold recalibration on the clean

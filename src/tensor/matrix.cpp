@@ -148,17 +148,6 @@ Matrix transpose(const Matrix& a) {
   return t;
 }
 
-Matrix hadamard(const Matrix& a, const Matrix& b) {
-  require(a.same_shape(b), "hadamard: shape mismatch");
-  Matrix c = a;
-  for (std::size_t i = 0; i < c.rows(); ++i) {
-    auto ci = c.row(i);
-    auto bi = b.row(i);
-    for (std::size_t j = 0; j < c.cols(); ++j) ci[j] *= bi[j];
-  }
-  return c;
-}
-
 std::vector<double> col_mean(const Matrix& a) {
   require(a.rows() > 0, "col_mean: empty matrix");
   std::vector<double> m(a.cols(), 0.0);

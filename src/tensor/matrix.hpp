@@ -94,9 +94,6 @@ Matrix matmul_at(const Matrix& a, const Matrix& b);
 
 Matrix transpose(const Matrix& a);
 
-/// Element-wise (Hadamard) product.
-Matrix hadamard(const Matrix& a, const Matrix& b);
-
 /// Column means -> vector of length cols.
 std::vector<double> col_mean(const Matrix& a);
 

@@ -59,8 +59,8 @@ class Rng {
   /// Derive an independent child stream; deterministic in (current state, salt).
   Rng split(std::uint64_t salt);
 
-  /// One raw 64-bit engine word. For deriving seeds of components that own
-  /// their own Rng (e.g. Dropout); prefer split() for full child streams.
+  /// One raw 64-bit engine word, the unit every draw above consumes (the
+  /// RngGolden tests pin these words). Prefer split() for child streams.
   std::uint64_t draw_u64();
 
  private:

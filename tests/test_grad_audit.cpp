@@ -54,9 +54,7 @@ void audit_matrix_grad(Matrix& value, const Matrix& analytic_grad,
 
 TEST(GradAudit, AutoencoderReconstructionChain) {
   Rng rng(123);
-  Autoencoder ae({.input_dim = 5, .hidden_dim = 6, .latent_dim = 3,
-                  .dropout = 0.0},
-                 rng);
+  Autoencoder ae({.input_dim = 5, .hidden_dim = 6, .latent_dim = 3}, rng);
   const Matrix x = random_matrix(8, 5, rng);
 
   // Analytic pass: accumulate gradients for every parameter.

@@ -140,14 +140,6 @@ TEST(Matrix, TransposeInvolution) {
     for (std::size_t j = 0; j < a.cols(); ++j) EXPECT_EQ(t(i, j), a(i, j));
 }
 
-TEST(Matrix, Hadamard) {
-  Matrix a{{1, 2}, {3, 4}};
-  Matrix b{{2, 2}, {3, 3}};
-  Matrix h = hadamard(a, b);
-  EXPECT_EQ(h(0, 0), 2.0);
-  EXPECT_EQ(h(1, 1), 12.0);
-}
-
 TEST(Matrix, ColMeanAndStddev) {
   Matrix m{{1, 10}, {3, 30}};
   auto mu = col_mean(m);

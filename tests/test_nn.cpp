@@ -93,17 +93,13 @@ TEST(Activations, ReluForward) {
   EXPECT_EQ(y(0, 2), 2.0);
 }
 
-TEST(Activations, TanhSigmoidRange) {
+TEST(Activations, TanhRange) {
   Tanh th;
-  Sigmoid sg;
   Matrix x{{-100, 0, 100}};
   Matrix yt = th.forward(x, false);
-  Matrix ys = sg.forward(x, false);
   EXPECT_NEAR(yt(0, 0), -1.0, 1e-12);
   EXPECT_NEAR(yt(0, 1), 0.0, 1e-12);
-  EXPECT_NEAR(ys(0, 0), 0.0, 1e-12);
-  EXPECT_NEAR(ys(0, 1), 0.5, 1e-12);
-  EXPECT_NEAR(ys(0, 2), 1.0, 1e-12);
+  EXPECT_NEAR(yt(0, 2), 1.0, 1e-12);
 }
 
 TEST(Activations, ReluNetworkGradientCheck) {
@@ -123,7 +119,6 @@ TEST(Activations, TanhNetworkGradientCheck) {
   net.add(std::make_unique<Linear>(2, 5, rng));
   net.add(std::make_unique<Tanh>());
   net.add(std::make_unique<Linear>(5, 2, rng));
-  net.add(std::make_unique<Sigmoid>());
   Matrix x = random_matrix(4, 2, rng);
   Matrix t = random_matrix(4, 2, rng, 0.3);
   check_gradients(net, x, t, 1e-5);
@@ -146,27 +141,6 @@ TEST(Sequential, DeepCopyIsIndependent) {
   EXPECT_DOUBLE_EQ(y_copy(0, 0), y0(0, 0));
 }
 
-TEST(Optimizer, SgdStepDirection) {
-  Rng rng(7);
-  Sequential net;
-  net.add(std::make_unique<Linear>(1, 1, rng));
-  auto params = net.params();
-  (*params[0].value)(0, 0) = 1.0;
-  (*params[1].value)(0, 0) = 0.0;
-
-  // Loss = (w*1 - 0)^2 -> grad wrt w positive, SGD must decrease w.
-  Matrix x{{1}};
-  Matrix t{{0}};
-  Matrix out = net.forward(x, true);
-  LossGrad lg = mse_loss(out, t);
-  net.backward(lg.grad);
-  Sgd opt(0.1);
-  opt.step(net.params());
-  EXPECT_LT((*net.params()[0].value)(0, 0), 1.0);
-  // Gradients zeroed after step.
-  EXPECT_EQ((*net.params()[0].grad)(0, 0), 0.0);
-}
-
 TEST(Optimizer, AdamConvergesOnQuadratic) {
   Rng rng(8);
   Sequential net;
@@ -180,23 +154,11 @@ TEST(Optimizer, AdamConvergesOnQuadratic) {
     LossGrad lg = mse_loss(out, t);
     net.backward(lg.grad);
     opt.step(net.params());
+    // step() leaves every gradient zeroed.
+    for (Param p : net.params()) EXPECT_EQ((*p.grad)(0, 0), 0.0);
   }
   Matrix out = net.forward(x, false);
   EXPECT_NEAR(out(0, 0), 3.0, 1e-3);
-}
-
-TEST(Autoencoder, DropoutConfigAddsLayersAndStaysDeterministicAtInference) {
-  Rng rng(21);
-  Autoencoder ae({.input_dim = 6, .hidden_dim = 16, .latent_dim = 4, .dropout = 0.3},
-                 rng);
-  Matrix x = random_matrix(5, 6, rng);
-  Matrix a = ae.encode(x);
-  Matrix b = ae.encode(x);  // inference path: dropout is identity
-  for (std::size_t i = 0; i < a.rows(); ++i)
-    for (std::size_t j = 0; j < a.cols(); ++j) EXPECT_DOUBLE_EQ(a(i, j), b(i, j));
-  Rng rng2(22);
-  EXPECT_THROW(Autoencoder({.input_dim = 4, .dropout = 1.0}, rng2),
-               std::invalid_argument);
 }
 
 TEST(Autoencoder, ShapesAndRoundtrip) {

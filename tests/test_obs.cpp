@@ -333,10 +333,6 @@ TEST(ConfigValidation, CndIdsRejectsBadFields) {
   EXPECT_THROW(c.validate(), std::invalid_argument);
 
   c = {};
-  c.cfe.dropout = 1.0;
-  EXPECT_THROW(c.validate(), std::invalid_argument);
-
-  c = {};
   EXPECT_NO_THROW(c.validate());
 }
 

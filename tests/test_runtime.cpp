@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "ml/deep_isolation_forest.hpp"
 #include "ml/hbos.hpp"
 #include "ml/isolation_forest.hpp"
 #include "ml/knn_detector.hpp"
@@ -263,6 +264,12 @@ TEST(Determinism, DetectorFitAndScoreBitIdenticalAcrossThreadCounts) {
       ml::IsolationForest forest({.n_trees = 20, .subsample = 64});
       forest.fit(train, rng);
       scores.push_back(forest.score(test));
+    }
+    {
+      Rng rng(99);
+      ml::DeepIsolationForest dif({.n_representations = 8, .trees_per_repr = 4});
+      dif.fit(train, rng);
+      scores.push_back(dif.score(test));
     }
     return scores;
   };

@@ -249,14 +249,5 @@ TEST(AdaptiveDetector, SkipsStableStreamsAndRefitsOnDrift) {
   for (double s : scores) EXPECT_TRUE(std::isfinite(s));
 }
 
-TEST(AdaptiveDetector, RejectsBadTriggerConfig) {
-  core::AdaptiveTriggerConfig bad;
-  bad.ph_lambda = 0.0;
-  EXPECT_THROW(core::AdaptiveCndIds({}, bad), std::invalid_argument);
-  bad = {};
-  bad.chunk_rows = 1;
-  EXPECT_THROW(core::AdaptiveCndIds({}, bad), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace cnd::scenario

@@ -381,9 +381,6 @@ TEST(ScoringService, ValidateRejectsBadConfig) {
   // Rejected at construction; workers start only in bootstrap.
   rejects([](serve::ServiceConfig& c) { c.shards = serve::kMaxShards + 1; });
   rejects([](serve::ServiceConfig& c) { c.queue_capacity = 0; });
-  rejects([](serve::ServiceConfig& c) { c.target_fpr = 0.0; });
-  rejects([](serve::ServiceConfig& c) { c.target_fpr = 0.05; });
-  rejects([](serve::ServiceConfig& c) { c.target_fpr = -0.01; });
   rejects([](serve::ServiceConfig& c) { c.detector.clear(); });
   EXPECT_NO_THROW(tiny_service(1).validate());
 }

@@ -363,10 +363,6 @@ std::unique_ptr<core::ContinualDetector> train_for_serving(
   return det;
 }
 
-/// POT tail quantile of `cnd snapshot`'s threshold; --fpr must lie below
-/// the tail mass 1 - kSnapshotTailQuantile.
-constexpr double kSnapshotTailQuantile = 0.9;
-
 int cmd_snapshot(const Flags& f) {
   require_known(f, {"data", "out", "detector", "seed", "epochs", "fpr"});
   const std::string data_path = flag(f, "data", "");
@@ -377,7 +373,7 @@ int cmd_snapshot(const Flags& f) {
   const double fpr = real_flag(f, "fpr", "0.01");
   // pot_threshold's own bound (target_prob below the tail mass), checked
   // before training rather than after it.
-  if (!(fpr > 0.0 && fpr < 1.0 - kSnapshotTailQuantile))
+  if (!(fpr > 0.0 && fpr < 1.0 - eval::PotConfig{}.tail_quantile))
     throw std::invalid_argument("--fpr=" + flag(f, "fpr", "") +
                                 ": must lie in (0, 0.1), below the POT tail "
                                 "mass at tail quantile 0.9");
@@ -390,9 +386,8 @@ int cmd_snapshot(const Flags& f) {
   data::Dataset train = data::load_csv(data_path, "snapshot");
   Matrix n_clean;
   const auto det = train_for_serving(train, detector, cfg, n_clean);
-  const double tau = eval::pot_threshold(
-      det->score(n_clean),
-      {.tail_quantile = kSnapshotTailQuantile, .target_prob = fpr});
+  const double tau =
+      eval::pot_threshold(det->score(n_clean), {.target_prob = fpr});
 
   const auto artifact = serve::make_artifact(1, detector, tau, *det);
   serve::save_artifact(out, *artifact);
