@@ -27,8 +27,6 @@ int main(int argc, char** argv) {
       core::DetectorConfig cfg = bench::paper_detector_config(opt.seed);
       cfg.cnd.cfe.lambda_r = lr;
       cfg.cnd.cfe.lambda_cl = lcl;
-      cfg.cnd.cfe.use_r = lr > 0.0;
-      cfg.cnd.cfe.use_cl = lcl > 0.0;
       const core::RunResult r =
           core::run_detector("CND-IDS", cfg, es, {.seed = opt.seed});
       std::printf("  %-8.2f %-8.2f %8.4f %10.4f %+10.4f%s\n", lr, lcl, r.avg(),

@@ -48,11 +48,6 @@ struct BenchOptions {
   /// stream are wall-clock and machine-dependent — result CSVs stay
   /// bit-identical with or without it (docs/OBSERVABILITY.md).
   std::string metrics_out;
-  /// IVF probe count for the neighbor-driven detectors (docs/ANN.md);
-  /// 0 = exact brute force, the default. Applied to a DetectorConfig via
-  /// apply_ann_nprobe below. Flag form `--ann-nprobe=N` rejects N = 0 —
-  /// exact mode is the absence of the flag, not a magic value.
-  std::size_t ann_nprobe = 0;
   /// Values of the bench's own `--name=value` flags (parse_options'
   /// `extra_flags`), keyed by name; a flag not given has no entry.
   std::map<std::string, std::string> extra;
@@ -145,11 +140,6 @@ inline BenchOptions parse_options(int argc, char** argv,
       if (i + 1 >= argc)
         throw std::invalid_argument("bench: --metrics-out needs a path");
       o.metrics_out = argv[++i];
-    } else if (a.rfind("--ann-nprobe=", 0) == 0) {
-      o.ann_nprobe = detail::number_flag<std::size_t>(a, 13);
-      if (o.ann_nprobe == 0)
-        throw std::invalid_argument(
-            "bench: --ann-nprobe must be >= 1 (omit the flag for exact mode)");
     } else if (a == "--verbose") {
       o.verbose = true;
     } else {
@@ -257,29 +247,13 @@ inline core::DetectorConfig paper_detector_config(std::uint64_t seed) {
   return c;
 }
 
-/// Route every neighbor-driven detector path through the IVF index with the
-/// given probe count (docs/ANN.md): LOF and kNN reference-set queries, and
-/// the CND-IDS / Adaptive pseudo-label K-Means predict passes (`cnd` is
-/// shared by both). nprobe = 0 is a no-op — the configs default to exact.
-/// Detectors without a neighbor path (PCA, DIF, GMM, ...) are unaffected.
-inline void apply_ann_nprobe(core::DetectorConfig& c, std::size_t nprobe) {
-  c.lof.ann.nprobe = nprobe;
-  c.knn.ann.nprobe = nprobe;
-  c.cnd.cfe.ann.nprobe = nprobe;
-}
-
 /// Build registry detector `name` under the paper config and drive it
-/// through the evaluation protocol. `ann_nprobe` > 0 (the parsed
-/// --ann-nprobe flag) routes the neighbor-search detectors through the
-/// IVF index (docs/ANN.md); 0 keeps the exact default.
+/// through the evaluation protocol.
 inline core::RunResult run_detector(const std::string& name,
                                     const data::ExperienceSet& es,
                                     std::uint64_t seed,
-                                    const core::RunConfig& rc = {},
-                                    std::size_t ann_nprobe = 0) {
-  core::DetectorConfig cfg = paper_detector_config(seed);
-  if (ann_nprobe > 0) apply_ann_nprobe(cfg, ann_nprobe);
-  return core::run_detector(name, cfg, es, rc);
+                                    const core::RunConfig& rc = {}) {
+  return core::run_detector(name, paper_detector_config(seed), es, rc);
 }
 
 /// Pretty row printer shared by the benches.

@@ -27,12 +27,10 @@ int main(int argc, char** argv) {
     for (const auto& m : methods) {
       if (m == "CND-IDS") continue;
       rows[m].push_back(
-          bench::run_detector(m, es, opt.seed, {}, opt.ann_nprobe).f1.avg_all());
+          bench::run_detector(m, es, opt.seed).f1.avg_all());
     }
-    rows["CND-IDS"].push_back(bench::run_detector("CND-IDS", es, opt.seed,
-                                                  {.seed = opt.seed},
-                                                  opt.ann_nprobe)
-                                  .avg());
+    rows["CND-IDS"].push_back(
+        bench::run_detector("CND-IDS", es, opt.seed, {.seed = opt.seed}).avg());
 
     std::printf("%s done\n", ds.name.c_str());
     std::fflush(stdout);

@@ -184,12 +184,15 @@ int main(int argc, char** argv) {
                         "bwt", "fwt", "avg_forgetting"},
                        csv_rows, csv_labels);
   std::FILE* jf = std::fopen("BENCH_scenarios.json", "w");
-  if (jf == nullptr) {
+  bool written = jf != nullptr;
+  if (written) {
+    written = std::fputs(json.c_str(), jf) >= 0;
+    written = std::fclose(jf) == 0 && written;
+  }
+  if (!written) {
     std::fprintf(stderr, "bench_scenarios: cannot write BENCH_scenarios.json\n");
     return 1;
   }
-  std::fputs(json.c_str(), jf);
-  std::fclose(jf);
   std::printf("Wrote scenario_grid.csv and BENCH_scenarios.json\n");
   return 0;
 }

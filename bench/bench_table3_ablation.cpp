@@ -20,15 +20,18 @@ int main(int argc, char** argv) {
   std::printf("(scale=%.2f seed=%llu)\n\n", opt.size_scale,
               static_cast<unsigned long long>(opt.seed));
 
+  // A loss is removed by zeroing its weight; L_CS has none, so it has a
+  // switch.
   struct Variant {
     const char* label;
-    bool cs, r, cl;
+    bool cs;
+    double lambda_r, lambda_cl;
   };
   const Variant variants[] = {
-      {"CND-IDS", true, true, true},
-      {"CND-IDS (w/o L_CS)", false, true, true},
-      {"CND-IDS (w/o L_R)", true, false, true},
-      {"CND-IDS (w/o L_R and L_CL)", true, false, false},
+      {"CND-IDS", true, 0.1, 0.1},
+      {"CND-IDS (w/o L_CS)", false, 0.1, 0.1},
+      {"CND-IDS (w/o L_R)", true, 0.0, 0.1},
+      {"CND-IDS (w/o L_R and L_CL)", true, 0.0, 0.0},
   };
 
   // Dataset and experience preparation stays serial (one RNG lineage); the
@@ -45,8 +48,8 @@ int main(int argc, char** argv) {
     const std::size_t d = job / 4, v = job % 4;
     core::DetectorConfig cfg = bench::paper_detector_config(opt.seed);
     cfg.cnd.cfe.use_cs = variants[v].cs;
-    cfg.cnd.cfe.use_r = variants[v].r;
-    cfg.cnd.cfe.use_cl = variants[v].cl;
+    cfg.cnd.cfe.lambda_r = variants[v].lambda_r;
+    cfg.cnd.cfe.lambda_cl = variants[v].lambda_cl;
     const core::RunResult res =
         core::run_detector("CND-IDS", cfg, sets[d], {.seed = opt.seed});
     cell[job] = {res.avg(), res.bwd(), res.fwd()};

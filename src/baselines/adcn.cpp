@@ -12,6 +12,15 @@
 
 namespace cnd::baselines {
 
+namespace {
+
+constexpr double kLambdaCluster = 0.1;   ///< weight of the cluster-pull loss.
+constexpr double kLambdaDistill = 0.1;   ///< latent anchor against previous model.
+constexpr double kSpawnQuantile = 0.98;  ///< farther than this spawns new clusters.
+constexpr std::size_t kMaxClusters = 64;
+
+}  // namespace
+
 Adcn::Adcn(const AdcnConfig& cfg)
     : cfg_(cfg), rng_(cfg.seed), opt_(cfg.lr) {}
 
@@ -73,14 +82,14 @@ void Adcn::observe_experience(const Matrix& x_train) {
         Matrix target = h;
         for (std::size_t i = 0; i < h.rows(); ++i) target.set_row(i, centroids_.row(a[i]));
         nn::LossGrad cl = nn::mse_loss(h, target);
-        cl.grad *= cfg_.lambda_cluster;
+        cl.grad *= kLambdaCluster;
         grad_h += cl.grad;
       }
 
       if (has_prev_) {
         Matrix h_prev = prev_encoder_.forward(xb, /*train=*/false);
         nn::LossGrad d = nn::mse_loss(h, h_prev);
-        d.grad *= cfg_.lambda_distill;
+        d.grad *= kLambdaDistill;
         grad_h += d.grad;
       }
 
@@ -106,13 +115,13 @@ void Adcn::observe_experience(const Matrix& x_train) {
         best = std::min(best, sq_dist(latent.row(i), centroids_.row(c)));
       dmin[i] = std::sqrt(best);
     }
-    const double cut = linalg::quantile(dmin, cfg_.spawn_quantile);
+    const double cut = linalg::quantile(dmin, kSpawnQuantile);
     std::vector<std::size_t> far;
     for (std::size_t i = 0; i < dmin.size(); ++i)
       if (dmin[i] > cut) far.push_back(i);
-    if (far.size() >= 8 && centroids_.rows() < cfg_.max_clusters) {
+    if (far.size() >= 8 && centroids_.rows() < kMaxClusters) {
       const std::size_t spawn = std::min<std::size_t>(
-          {2, cfg_.max_clusters - centroids_.rows(), far.size() / 4});
+          {2, kMaxClusters - centroids_.rows(), far.size() / 4});
       if (spawn >= 1) {
         ml::KMeans km({.k = spawn});
         Matrix far_latent = latent.take_rows(far);

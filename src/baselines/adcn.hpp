@@ -23,11 +23,7 @@ struct AdcnConfig {
   std::size_t epochs = 10;
   std::size_t batch_size = 128;
   double lr = 1e-3;
-  double lambda_cluster = 0.1;   ///< weight of the cluster-pull loss.
-  double lambda_distill = 0.1;   ///< latent anchor against previous model.
   std::size_t init_k = 0;        ///< 0 = elbow on first experience latent.
-  double spawn_quantile = 0.98;  ///< farther than this spawns new clusters.
-  std::size_t max_clusters = 64;
   std::uint64_t seed = 4321;
 };
 

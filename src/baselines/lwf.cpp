@@ -9,6 +9,12 @@
 
 namespace cnd::baselines {
 
+namespace {
+
+constexpr double kLambdaDistill = 0.5;  ///< LwF strength (old-task preservation).
+
+}  // namespace
+
 Lwf::Lwf(const LwfConfig& cfg)
     : cfg_(cfg), rng_(cfg.seed), opt_(cfg.lr), km_({.k = 1}) {}
 
@@ -51,12 +57,12 @@ void Lwf::observe_experience(const Matrix& x_train) {
       if (has_prev_) {
         Matrix h_prev = prev_encoder_.forward(xb, /*train=*/false);
         nn::LossGrad dl = nn::mse_loss(h, h_prev);
-        dl.grad *= cfg_.lambda_distill;
+        dl.grad *= kLambdaDistill;
         grad_h += dl.grad;
 
         Matrix xhat_prev = prev_decoder_.forward(h_prev, /*train=*/false);
         nn::LossGrad dr = nn::mse_loss(xhat, xhat_prev);
-        dr.grad *= cfg_.lambda_distill;
+        dr.grad *= kLambdaDistill;
         grad_xhat += dr.grad;
       }
 

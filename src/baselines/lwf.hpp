@@ -20,7 +20,6 @@ struct LwfConfig {
   std::size_t epochs = 10;
   std::size_t batch_size = 128;
   double lr = 1e-3;
-  double lambda_distill = 0.5;  ///< LwF strength (old-task preservation).
   std::size_t k = 0;            ///< 0 = elbow per experience.
   std::uint64_t seed = 8765;
 };

@@ -11,6 +11,16 @@
 
 namespace cnd::core {
 
+namespace {
+
+constexpr double kMargin = 1.0;                ///< L_CS triplet margin m.
+constexpr std::size_t kTripletsPerBatch = 64;  ///< L_CS triplets mined per batch.
+constexpr std::size_t kReplayPerBatch = 32;    ///< kReplay: rehearsal rows per batch.
+constexpr double kEwcStrength = 100.0;         ///< kEwc: penalty scale (x lambda_cl).
+constexpr double kEwcDecay = 0.9;              ///< kEwc: online Fisher decay (gamma).
+
+}  // namespace
+
 Cfe::Cfe(const CfeConfig& cfg, std::uint64_t seed)
     : cfg_(cfg),
       rng_(seed),
@@ -18,9 +28,7 @@ Cfe::Cfe(const CfeConfig& cfg, std::uint64_t seed)
       replay_(cfg.replay_capacity, seed ^ 0x5E5A11ULL) {
   require(cfg.lambda_r >= 0.0 && cfg.lambda_r <= 1.0, "Cfe: lambda_r out of [0,1]");
   require(cfg.lambda_cl >= 0.0 && cfg.lambda_cl <= 1.0, "Cfe: lambda_cl out of [0,1]");
-  require(cfg.margin > 0.0, "Cfe: margin must be > 0");
   require(cfg.epochs > 0 && cfg.batch_size > 0, "Cfe: bad training schedule");
-  require(cfg.replay_per_batch > 0, "Cfe: replay_per_batch must be > 0");
 }
 
 CfeFitStats Cfe::fit_experience(const Matrix& x_train, const Matrix& n_clean) {
@@ -48,7 +56,7 @@ CfeFitStats Cfe::fit_experience(const Matrix& x_train, const Matrix& n_clean) {
     // Covers k-means and the elbow sweep when kmeans_k == 0.
     obs::ScopedTimer timer(obs::metrics(), "cnd.pseudo_label_ms");
     PseudoLabels pl =
-        cluster_separation_labels(x_train, n_clean, cfg_.kmeans_k, rng_, cfg_.ann);
+        cluster_separation_labels(x_train, n_clean, cfg_.kmeans_k, rng_);
     pseudo = std::move(pl.labels);
     stats.pseudo_k = pl.k;
     stats.pseudo_anomalous = pl.n_anomalous;
@@ -75,15 +83,15 @@ CfeFitStats Cfe::fit_experience(const Matrix& x_train, const Matrix& n_clean) {
       if (cfg_.use_cs && !pseudo.empty()) {
         std::vector<int> yb(idx.size());
         for (std::size_t i = 0; i < idx.size(); ++i) yb[i] = pseudo[idx[i]];
-        nn::LossGrad cs = nn::triplet_margin_loss(h, yb, cfg_.margin, rng_,
-                                                  cfg_.triplets_per_batch);
+        nn::LossGrad cs =
+            nn::triplet_margin_loss(h, yb, kMargin, rng_, kTripletsPerBatch);
         grad_h += cs.grad;
         ep_cs += cs.loss;
       }
 
       // L_R: reconstruction MSE; its gradient reaches the encoder through
       // the decoder's backward pass.
-      if (cfg_.use_r) {
+      if (cfg_.lambda_r > 0.0) {
         Matrix xhat = ae_.decoder().forward(h, /*train=*/true);
         nn::LossGrad r = nn::mse_loss(xhat, xb);
         r.grad *= cfg_.lambda_r;
@@ -93,7 +101,7 @@ CfeFitStats Cfe::fit_experience(const Matrix& x_train, const Matrix& n_clean) {
 
       // L_CL, snapshot mode: keep the current embedding close to what every
       // past encoder produced for the same inputs.
-      if (cfg_.use_cl && cfg_.cl_mode == ClMode::kSnapshots &&
+      if (cfg_.lambda_cl > 0.0 && cfg_.cl_mode == ClMode::kSnapshots &&
           !past_encoders_.empty()) {
         for (auto& past : past_encoders_) {
           Matrix h_past = past.forward(xb, /*train=*/false);
@@ -108,8 +116,9 @@ CfeFitStats Cfe::fit_experience(const Matrix& x_train, const Matrix& n_clean) {
 
       // L_CL, replay mode: rehearse reconstruction of buffered past inputs
       // (a separate pass so gradients accumulate before the Adam step).
-      if (cfg_.use_cl && cfg_.cl_mode == ClMode::kReplay && !replay_.empty()) {
-        Matrix xr = replay_.sample(cfg_.replay_per_batch, rng_);
+      if (cfg_.lambda_cl > 0.0 && cfg_.cl_mode == ClMode::kReplay &&
+          !replay_.empty()) {
+        Matrix xr = replay_.sample(kReplayPerBatch, rng_);
         Matrix hr = ae_.encoder().forward(xr, /*train=*/true);
         Matrix xr_hat = ae_.decoder().forward(hr, /*train=*/true);
         nn::LossGrad rl = nn::mse_loss(xr_hat, xr);
@@ -121,11 +130,11 @@ CfeFitStats Cfe::fit_experience(const Matrix& x_train, const Matrix& n_clean) {
 
       // L_CL, EWC mode: Fisher-weighted quadratic pull toward the
       // consolidated anchor, added straight to the accumulated gradients.
-      if (cfg_.use_cl && cfg_.cl_mode == ClMode::kEwc && !fisher_.empty()) {
+      if (cfg_.lambda_cl > 0.0 && cfg_.cl_mode == ClMode::kEwc && !fisher_.empty()) {
         auto params = ae_.params();
         double penalty = 0.0;
         for (std::size_t k = 0; k < params.size(); ++k) {
-          const double scale = cfg_.lambda_cl * cfg_.ewc_strength;
+          const double scale = cfg_.lambda_cl * kEwcStrength;
           for (std::size_t i = 0; i < params[k].value->rows(); ++i) {
             auto w = params[k].value->row(i);
             auto g = params[k].grad->row(i);
@@ -219,7 +228,7 @@ void Cfe::accumulate_fisher(const Matrix& x_train) {
       auto f = fisher_[k].row(i);
       auto s = sq[k].row(i);
       for (std::size_t j = 0; j < fisher_[k].cols(); ++j)
-        f[j] = cfg_.ewc_decay * f[j] + s[j] * inv;
+        f[j] = kEwcDecay * f[j] + s[j] * inv;
     }
     anchor_[k] = *params[k].value;
   }

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "data/replay_buffer.hpp"
-#include "linalg/distance.hpp"
 #include "nn/autoencoder.hpp"
 #include "nn/optimizer.hpp"
 #include "tensor/rng.hpp"
@@ -34,30 +33,23 @@ enum class ClMode { kSnapshots, kReplay, kEwc };
 struct CfeConfig {
   std::size_t hidden_dim = 256;  ///< paper: 256-unit hidden layers.
   std::size_t latent_dim = 256;  ///< over-complete latent ("256 neurons").
-  double lambda_r = 0.1;         ///< paper: 0.1.
-  double lambda_cl = 0.1;        ///< paper: 0.1.
-  double margin = 1.0;           ///< triplet margin m.
+  /// paper: 0.1. 0 removes L_R from the loss (Table III "w/o L_R").
+  double lambda_r = 0.1;
+  /// paper: 0.1. 0 removes L_CL in every ClMode (Table III "w/o L_R and
+  /// L_CL" sets both weights to 0).
+  double lambda_cl = 0.1;
   std::size_t epochs = 10;
   std::size_t batch_size = 128;
   double lr = 1e-3;              ///< paper: Adam, 0.001.
-  std::size_t triplets_per_batch = 64;
   std::size_t kmeans_k = 0;      ///< 0 = elbow method (paper's choice).
-  /// Approximate-neighbor knob for the pseudo-label K-Means predict passes
-  /// (docs/ANN.md). Default (nprobe = 0) is exact — byte-identical scores.
-  linalg::AnnConfig ann{};
-  // Ablation switches (Table III).
+  /// Table III's "w/o L_CS" switch; L_CS has no weight to set to 0.
   bool use_cs = true;
-  bool use_r = true;
-  bool use_cl = true;
   /// Cap on encoder snapshots kept for L_CL (0 = keep all, as in the paper;
   /// a cap bounds memory for very long streams).
   std::size_t max_snapshots = 0;
   // Continual-learning mode (see ClMode).
   ClMode cl_mode = ClMode::kSnapshots;
   std::size_t replay_capacity = 512;   ///< kReplay: reservoir size (rows).
-  std::size_t replay_per_batch = 32;   ///< kReplay: rehearsal rows per batch.
-  double ewc_strength = 100.0;         ///< kEwc: penalty scale (x lambda_cl).
-  double ewc_decay = 0.9;              ///< kEwc: online Fisher decay (gamma).
 };
 
 /// Per-experience training diagnostics.

@@ -9,8 +9,7 @@
 namespace cnd::core {
 
 PseudoLabels cluster_separation_labels(const Matrix& x_train, const Matrix& n_clean,
-                                       std::size_t k, Rng& rng,
-                                       const linalg::AnnConfig& ann) {
+                                       std::size_t k, Rng& rng) {
   require(x_train.rows() >= 4, "cluster_separation: too few training points");
   require(n_clean.rows() >= 1, "cluster_separation: empty N_c");
   require(x_train.cols() == n_clean.cols(), "cluster_separation: feature mismatch");
@@ -22,7 +21,7 @@ PseudoLabels cluster_separation_labels(const Matrix& x_train, const Matrix& n_cl
   out.k = k != 0 ? k : ml::elbow_k(x_train, rng, /*k_min=*/4, /*k_max=*/20);
   out.k = std::min(out.k, x_train.rows());
 
-  ml::KMeans km({.k = out.k, .ann = ann});
+  ml::KMeans km({.k = out.k});
   km.fit(x_train, rng);
 
   // Clusters owning at least one N_c point are "normal" clusters.

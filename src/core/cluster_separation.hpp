@@ -9,7 +9,6 @@
 
 #include <vector>
 
-#include "linalg/distance.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/rng.hpp"
 
@@ -24,11 +23,8 @@ struct PseudoLabels {
 
 /// Compute pseudo-labels for every row of `x_train`.
 /// `k = 0` selects the cluster count with the elbow method (the paper's
-/// choice); otherwise the given k is used directly. `ann` (default exact)
-/// routes the two K-Means predict() passes through the IVF index
-/// (docs/ANN.md); K-Means training itself always runs exact.
+/// choice); otherwise the given k is used directly.
 PseudoLabels cluster_separation_labels(const Matrix& x_train, const Matrix& n_clean,
-                                       std::size_t k, Rng& rng,
-                                       const linalg::AnnConfig& ann = {});
+                                       std::size_t k, Rng& rng);
 
 }  // namespace cnd::core

@@ -33,36 +33,27 @@ void CndIdsConfig::validate() const {
           "CndIdsConfig: cfe.lambda_r out of [0,1]");
   require(cfe.lambda_cl >= 0.0 && cfe.lambda_cl <= 1.0,
           "CndIdsConfig: cfe.lambda_cl out of [0,1]");
-  require(cfe.margin > 0.0, "CndIdsConfig: cfe.margin must be > 0");
   require(cfe.epochs > 0, "CndIdsConfig: cfe.epochs must be > 0");
   require(cfe.batch_size > 0, "CndIdsConfig: cfe.batch_size must be > 0");
   require(cfe.lr > 0.0, "CndIdsConfig: cfe.lr must be > 0");
-  require(cfe.triplets_per_batch > 0,
-          "CndIdsConfig: cfe.triplets_per_batch must be > 0");
   require(cfe.replay_capacity > 0,
           "CndIdsConfig: cfe.replay_capacity must be > 0");
-  require(cfe.replay_per_batch > 0,
-          "CndIdsConfig: cfe.replay_per_batch must be > 0");
-  require(cfe.ewc_strength >= 0.0,
-          "CndIdsConfig: cfe.ewc_strength must be >= 0");
-  require(cfe.ewc_decay >= 0.0 && cfe.ewc_decay <= 1.0,
-          "CndIdsConfig: cfe.ewc_decay out of [0,1]");
   require(pca.explained_variance > 0.0 && pca.explained_variance <= 1.0,
           "CndIdsConfig: pca.explained_variance out of (0,1]");
-  cfe.ann.validate();
 }
 
 CndIds::CndIds(const CndIdsConfig& cfg)
     : cfg_((cfg.validate(), cfg)), cfe_(cfg.cfe, cfg.seed), pca_(cfg.pca) {}
 
 std::string CndIds::name() const {
+  const bool r = cfg_.cfe.lambda_r > 0.0, cl = cfg_.cfe.lambda_cl > 0.0;
   std::string n = "CND-IDS";
   if (!cfg_.cfe.use_cs) n += " (w/o L_CS)";
-  if (!cfg_.cfe.use_r && !cfg_.cfe.use_cl)
+  if (!r && !cl)
     n += " (w/o L_R and L_CL)";
-  else if (!cfg_.cfe.use_r)
+  else if (!r)
     n += " (w/o L_R)";
-  else if (!cfg_.cfe.use_cl)
+  else if (!cl)
     n += " (w/o L_CL)";
   return n;
 }

@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "ml/hbos.hpp"
+#include "ml/mahalanobis.hpp"
 #include "obs/scoped_timer.hpp"
 #include "tensor/rng.hpp"
 
@@ -132,9 +134,8 @@ Registry builtin_registry() {
                   });
   },
       "static novelty: Gaussian mixture negative log-likelihood");
-  add("Maha", DetectorKind::kStaticNovelty, [](const DetectorConfig& c) {
-    return frozen("Maha", DetectorKind::kStaticNovelty,
-                  ml::MahalanobisDetector(c.maha),
+  add("Maha", DetectorKind::kStaticNovelty, [](const DetectorConfig&) {
+    return frozen("Maha", DetectorKind::kStaticNovelty, ml::MahalanobisDetector(),
                   [](ml::MahalanobisDetector& d, const Matrix& x) { d.fit(x); });
   },
       "static novelty: Mahalanobis distance to the N_c distribution");
@@ -143,8 +144,8 @@ Registry builtin_registry() {
                   [](ml::KnnDetector& d, const Matrix& x) { d.fit(x); });
   },
       "static novelty: k-nearest-neighbor distance to N_c");
-  add("HBOS", DetectorKind::kStaticNovelty, [](const DetectorConfig& c) {
-    return frozen("HBOS", DetectorKind::kStaticNovelty, ml::Hbos(c.hbos),
+  add("HBOS", DetectorKind::kStaticNovelty, [](const DetectorConfig&) {
+    return frozen("HBOS", DetectorKind::kStaticNovelty, ml::Hbos(),
                   [](ml::Hbos& d, const Matrix& x) { d.fit(x); });
   },
       "static novelty: histogram-based outlier score");

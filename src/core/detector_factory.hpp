@@ -34,10 +34,8 @@
 #include "ml/ae_detector.hpp"
 #include "ml/deep_isolation_forest.hpp"
 #include "ml/gmm.hpp"
-#include "ml/hbos.hpp"
 #include "ml/knn_detector.hpp"
 #include "ml/lof.hpp"
-#include "ml/mahalanobis.hpp"
 #include "ml/ocsvm.hpp"
 #include "ml/pca.hpp"
 
@@ -55,15 +53,13 @@ struct DetectorConfig {
   baselines::AdcnConfig adcn;
   baselines::LwfConfig lwf;
 
-  ml::PcaConfig pca{.explained_variance = 0.95};
-  ml::DeepIsolationForestConfig dif{.n_representations = 24, .trees_per_repr = 6};
-  ml::LofConfig lof{.k = 20};
-  ml::OcSvmConfig ocsvm{.nu = 0.05};
-  ml::GmmConfig gmm{.n_components = 4};
-  ml::MahalanobisConfig maha;
-  ml::KnnDetectorConfig knn{.k = 10};
-  ml::HbosConfig hbos;
-  ml::AeDetectorConfig ae{.hidden_dim = 128, .latent_dim = 16, .epochs = 20};
+  ml::PcaConfig pca;
+  ml::DeepIsolationForestConfig dif;
+  ml::LofConfig lof;
+  ml::OcSvmConfig ocsvm;
+  ml::GmmConfig gmm;
+  ml::KnnDetectorConfig knn;
+  ml::AeDetectorConfig ae;
 };
 
 enum class DetectorKind {

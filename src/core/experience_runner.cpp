@@ -13,18 +13,21 @@ namespace cnd::core {
 
 namespace {
 
+/// Labeled seed rows per class handed to the UCL baselines.
+constexpr std::size_t kSeedPerClass = 32;
+
 /// Draw a small labeled seed (per-class balanced) from experience 0's test
 /// split. This is the bootstrap the UCL baselines need; CND-IDS ignores it.
-void build_seed(const data::ExperienceSet& es, std::size_t per_class, Rng& rng,
-                Matrix* seed_x, std::vector<int>* seed_y) {
+void build_seed(const data::ExperienceSet& es, Rng& rng, Matrix* seed_x,
+                std::vector<int>* seed_y) {
   const auto& e0 = es.experiences.front();
   std::vector<std::size_t> normals, attacks;
   for (std::size_t i = 0; i < e0.y_test.size(); ++i)
     (e0.y_test[i] == 0 ? normals : attacks).push_back(i);
   rng.shuffle(normals);
   rng.shuffle(attacks);
-  normals.resize(std::min(per_class, normals.size()));
-  attacks.resize(std::min(per_class, attacks.size()));
+  if (normals.size() > kSeedPerClass) normals.resize(kSeedPerClass);
+  if (attacks.size() > kSeedPerClass) attacks.resize(kSeedPerClass);
 
   std::vector<std::size_t> rows = normals;
   rows.insert(rows.end(), attacks.begin(), attacks.end());
@@ -50,7 +53,7 @@ RunResult run_protocol(ContinualDetector& det, const data::ExperienceSet& es,
   Rng rng(cfg.seed);
   Matrix seed_x;
   std::vector<int> seed_y;
-  build_seed(es, cfg.seed_per_class, rng, &seed_x, &seed_y);
+  build_seed(es, rng, &seed_x, &seed_y);
   det.setup(SetupContext{es.n_clean, seed_x, seed_y});
 
   double infer_ms = 0.0;

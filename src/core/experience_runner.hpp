@@ -16,9 +16,8 @@
 namespace cnd::core {
 
 struct RunConfig {
-  /// Labeled seed size (per class) handed to UCL baselines via
-  /// SetupContext; drawn from experience 0's test split.
-  std::size_t seed_per_class = 32;
+  /// Seeds the draw of the labeled seed set (32 rows per class from
+  /// experience 0's test split) handed to UCL baselines via SetupContext.
   std::uint64_t seed = 99;
   bool verbose = false;  ///< print the R matrix after the run.
 };

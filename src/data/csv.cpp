@@ -21,7 +21,8 @@ void save_csv(const Dataset& ds, const std::string& path) {
     for (double v : r) f << v << ",";
     f << ds.y[i] << "," << ds.attack_class[i] << "\n";
   }
-  require(f.good(), "save_csv: write failed for " + path);
+  f.close();  // the last buffered bytes are written here, so check after it
+  require(!f.fail(), "save_csv: write failed for " + path);
 }
 
 namespace {
@@ -127,6 +128,8 @@ void save_table_csv(const std::string& path,
       f << rows[i][j] << (j + 1 < rows[i].size() ? "," : "");
     f << "\n";
   }
+  f.close();
+  require(!f.fail(), "save_table_csv: write failed for " + path);
 }
 
 }  // namespace cnd::data

@@ -11,7 +11,9 @@
 
 namespace cnd::data {
 
-/// Write a dataset (features + label + attack_class columns).
+/// Write a dataset (features + label + attack_class columns). Throws
+/// std::invalid_argument naming the path when the file cannot be opened
+/// or written in full (a full disk, say).
 void save_csv(const Dataset& ds, const std::string& path);
 
 /// Load a dataset written by save_csv (or hand-authored in that format).
@@ -24,6 +26,7 @@ void save_csv(const Dataset& ds, const std::string& path);
 Dataset load_csv(const std::string& path, const std::string& name = "csv");
 
 /// Write an arbitrary numeric table with a header, for bench outputs.
+/// Fails as save_csv does.
 void save_table_csv(const std::string& path,
                     const std::vector<std::string>& header,
                     const std::vector<std::vector<double>>& rows,

@@ -215,13 +215,6 @@ void NeighborProvider::bind(Matrix ref, const AnnConfig& cfg) {
   }
 }
 
-void NeighborProvider::unbind() {
-  ref_ = Matrix();
-  cfg_ = AnnConfig{};
-  ref_norms_.clear();
-  index_.reset();
-}
-
 Knn NeighborProvider::knn(const Matrix& query, std::size_t k,
                           bool exclude_self) const {
   require(ready(), "NeighborProvider::knn: no reference set bound");

@@ -74,11 +74,11 @@ struct AnnConfig {
 
 class IvfIndex;
 
-/// NeighborProvider: the one seam every repeated-neighbor-query path (LOF,
-/// the kNN detector, K-Means assignment, CND-IDS pseudo-labeling) goes
-/// through. It owns the reference matrix, caches its kernels::row_sq_norms
-/// once per reset (LOF used to recompute them on every score call), and —
-/// when AnnConfig::nprobe > 0 — builds and holds an IVF index over it.
+/// NeighborProvider: the one seam the repeated-neighbor-query paths (LOF,
+/// the kNN detector) go through. It owns the reference matrix, caches its
+/// kernels::row_sq_norms once per bind (LOF used to recompute them on every
+/// score call), and — when AnnConfig::nprobe > 0 — builds and holds an IVF
+/// index over it.
 /// Exact mode routes to the same brute-force kernel as linalg::knn, so its
 /// results are bit-identical to a direct call.
 class NeighborProvider {
@@ -86,7 +86,6 @@ class NeighborProvider {
   /// Take ownership of the reference set; recompute cached norms; build the
   /// IVF index iff cfg.nprobe > 0. Validates cfg.
   void bind(Matrix ref, const AnnConfig& cfg = {});
-  void unbind();
 
   bool ready() const { return !ref_.empty(); }
   bool exact() const { return cfg_.nprobe == 0; }

@@ -11,6 +11,9 @@ namespace cnd::ml {
 namespace {
 
 constexpr double kLog2Pi = 1.8378770664093453;
+constexpr std::size_t kMaxIters = 100;  ///< EM iterations.
+constexpr double kTol = 1e-5;       ///< stop when mean log-likelihood improves less.
+constexpr double kRegCovar = 1e-6;  ///< variance floor, keeps EM from collapsing.
 
 /// log N(x | mu, diag(var)) for one row.
 double log_gauss(std::span<const double> x, std::span<const double> mu,
@@ -67,12 +70,12 @@ void Gmm::fit(const Matrix& x, Rng& rng) {
   }
   for (std::size_t c = 0; c < k; ++c)
     for (std::size_t j = 0; j < d; ++j)
-      vars_(c, j) = std::max(sd0[j] * sd0[j], cfg_.reg_covar);
+      vars_(c, j) = std::max(sd0[j] * sd0[j], kRegCovar);
 
   // EM.
   Matrix resp(n, k);
   double prev_ll = -std::numeric_limits<double>::infinity();
-  for (std::size_t iter = 0; iter < cfg_.max_iters; ++iter) {
+  for (std::size_t iter = 0; iter < kMaxIters; ++iter) {
     // E-step.
     double ll = 0.0;
     std::vector<double> logp(k);
@@ -103,11 +106,11 @@ void Gmm::fit(const Matrix& x, Rng& rng) {
           const double diff = x(i, j) - means_(c, j);
           v += resp(i, c) * diff * diff;
         }
-        vars_(c, j) = std::max(v / nk, cfg_.reg_covar);
+        vars_(c, j) = std::max(v / nk, kRegCovar);
       }
     }
 
-    if (ll - prev_ll < cfg_.tol && iter > 0) break;
+    if (ll - prev_ll < kTol && iter > 0) break;
     prev_ll = ll;
   }
 }

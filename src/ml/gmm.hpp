@@ -15,9 +15,6 @@ namespace cnd::ml {
 
 struct GmmConfig {
   std::size_t n_components = 4;
-  std::size_t max_iters = 100;
-  double tol = 1e-5;        ///< stop when mean log-likelihood improves less.
-  double reg_covar = 1e-6;  ///< variance floor, keeps EM from collapsing.
 };
 
 class Gmm {

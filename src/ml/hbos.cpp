@@ -8,9 +8,14 @@
 
 namespace cnd::ml {
 
+namespace {
+
+constexpr std::size_t kBins = 20;  ///< equal-width bins per feature.
+
+}  // namespace
+
 void Hbos::fit(const Matrix& x) {
   require(x.rows() >= 2, "Hbos::fit: need at least 2 rows");
-  require(cfg_.n_bins >= 2, "Hbos::fit: need at least 2 bins");
   const std::size_t d = x.cols();
   lo_.assign(d, 0.0);
   width_.assign(d, 1.0);
@@ -24,16 +29,16 @@ void Hbos::fit(const Matrix& x) {
       mx = std::max(mx, x(i, j));
     }
     lo_[j] = mn;
-    width_[j] = std::max((mx - mn) / static_cast<double>(cfg_.n_bins), 1e-12);
+    width_[j] = std::max((mx - mn) / static_cast<double>(kBins), 1e-12);
 
-    std::vector<double> counts(cfg_.n_bins, 0.0);
+    std::vector<double> counts(kBins, 0.0);
     for (std::size_t i = 0; i < x.rows(); ++i) {
       auto b = static_cast<std::size_t>((x(i, j) - mn) / width_[j]);
-      counts[std::min(b, cfg_.n_bins - 1)] += 1.0;
+      counts[std::min(b, kBins - 1)] += 1.0;
     }
     auto& nl = neglog_[j];
-    nl.resize(cfg_.n_bins);
-    for (std::size_t b = 0; b < cfg_.n_bins; ++b)
+    nl.resize(kBins);
+    for (std::size_t b = 0; b < kBins; ++b)
       nl[b] = -std::log(std::max(counts[b] / n, 0.5 / n));  // floor: half a count
   }
   // Out-of-range values are at most as likely as half a sample.
@@ -50,7 +55,7 @@ std::vector<double> Hbos::score(const Matrix& x) const {
       auto r = x.row(i);
       for (std::size_t j = 0; j < x.cols(); ++j) {
         const double pos = (r[j] - lo_[j]) / width_[j];
-        if (pos < 0.0 || pos >= static_cast<double>(cfg_.n_bins)) {
+        if (pos < 0.0 || pos >= static_cast<double>(kBins)) {
           out[i] += empty_penalty_;
         } else {
           out[i] += neglog_[j][static_cast<std::size_t>(pos)];

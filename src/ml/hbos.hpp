@@ -12,14 +12,8 @@
 
 namespace cnd::ml {
 
-struct HbosConfig {
-  std::size_t n_bins = 20;
-};
-
 class Hbos {
  public:
-  explicit Hbos(const HbosConfig& cfg = {}) : cfg_(cfg) {}
-
   void fit(const Matrix& x);
 
   /// Sum over features of -log(bin density); values outside the fitted
@@ -29,7 +23,6 @@ class Hbos {
   bool fitted() const { return !lo_.empty(); }
 
  private:
-  HbosConfig cfg_;
   std::vector<double> lo_, width_;           ///< per-feature bin geometry.
   std::vector<std::vector<double>> neglog_;  ///< per-feature -log density.
   double empty_penalty_ = 0.0;               ///< score for out-of-range/empty.

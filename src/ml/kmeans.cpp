@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "linalg/distance.hpp"
 #include "tensor/assert.hpp"
 
 namespace cnd::ml {
@@ -81,30 +82,12 @@ void KMeans::fit(const Matrix& x, Rng& rng) {
     }
     if (movement < cfg_.tol) break;
   }
-
-  // Opt-in ANN assignment: index the fitted centroids eagerly so the const
-  // predict() never mutates state. Exact mode keeps the provider empty.
-  if (cfg_.ann.nprobe > 0) {
-    Matrix cen = centroids_;
-    nn_.bind(std::move(cen), cfg_.ann);
-  } else {
-    nn_.unbind();
-  }
 }
 
 std::vector<std::size_t> KMeans::predict(const Matrix& x) const {
   require(fitted(), "KMeans::predict: not fitted");
   require(x.cols() == centroids_.cols(), "KMeans::predict: feature mismatch");
   std::vector<std::size_t> out(x.rows());
-  if (nn_.ready() && !nn_.exact()) {
-    // IVF fast path (k = 1). Re-ranked distances are the exact fused values
-    // and ties break on the smaller centroid id — the same total order as
-    // the strict-< argmin below — so this only differs from exact when the
-    // probed clusters miss the true nearest centroid.
-    const linalg::Knn nn = nn_.knn(x, 1, /*exclude_self=*/false);
-    for (std::size_t i = 0; i < x.rows(); ++i) out[i] = nn.indices[i][0];
-    return out;
-  }
   nearest_centroid(x, centroids_, &out, nullptr);
   return out;
 }

@@ -6,7 +6,6 @@
 
 #include <vector>
 
-#include "linalg/distance.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/rng.hpp"
 
@@ -16,12 +15,6 @@ struct KMeansConfig {
   std::size_t k = 8;
   std::size_t max_iters = 100;
   double tol = 1e-6;  ///< stop when centroid movement (sq) drops below this.
-  /// Approximate-assignment knob for predict(): nprobe = 0 (default) keeps
-  /// the exact fused nearest-centroid pass; nprobe > 0 routes predict()
-  /// through an IVF index built over the fitted centroids (docs/ANN.md).
-  /// fit() itself always runs exact — the k-means++/Lloyd RNG stream and
-  /// every seeded golden result depend on it.
-  linalg::AnnConfig ann{};
 };
 
 class KMeans {
@@ -44,9 +37,6 @@ class KMeans {
  private:
   KMeansConfig cfg_;
   Matrix centroids_;
-  /// Bound to a copy of centroids_ at the end of fit() iff cfg_.ann.nprobe
-  /// > 0 (eager, so the const predict() stays safe to call concurrently).
-  linalg::NeighborProvider nn_;
 };
 
 }  // namespace cnd::ml

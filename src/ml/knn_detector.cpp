@@ -21,13 +21,9 @@ std::vector<double> KnnDetector::score(const Matrix& x) const {
   runtime::parallel_for(0, x.rows(), runtime::grain_for_cost(cfg_.k),
                         [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
-      if (cfg_.use_kth_only) {
-        out[i] = nn.distances[i].back();
-      } else {
-        double s = 0.0;
-        for (double d : nn.distances[i]) s += d;
-        out[i] = s / static_cast<double>(nn.distances[i].size());
-      }
+      double s = 0.0;
+      for (double d : nn.distances[i]) s += d;
+      out[i] = s / static_cast<double>(nn.distances[i].size());
     }
   });
   return out;

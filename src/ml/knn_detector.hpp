@@ -14,8 +14,6 @@ namespace cnd::ml {
 
 struct KnnDetectorConfig {
   std::size_t k = 10;
-  /// Use the k-th neighbour distance instead of the mean of all k.
-  bool use_kth_only = false;
   /// Neighbor-query knob: nprobe = 0 (default) is exact brute force,
   /// bit-identical to the pre-ANN path; nprobe > 0 routes score-time kNN
   /// through an IVF index over the reference set.
@@ -28,7 +26,7 @@ class KnnDetector {
 
   void fit(const Matrix& x);
 
-  /// Mean (or k-th) neighbour distance; higher = more anomalous.
+  /// Mean distance to the k nearest neighbours; higher = more anomalous.
   std::vector<double> score(const Matrix& x) const;
 
   bool fitted() const { return nn_.ready(); }

@@ -10,11 +10,11 @@ namespace cnd::ml {
 
 void Lof::fit(const Matrix& x) {
   require(x.rows() > cfg_.k, "Lof::fit: need more than k reference points");
-  nn_.bind(x, cfg_.ann);
+  nn_.bind(x);
   const std::size_t n = nn_.ref().rows();
 
-  // Provider kNN: exact mode is bit-identical to linalg::knn on the same
-  // arguments (same kernel, cached norms); ANN mode probes the IVF index.
+  // Provider kNN: bit-identical to linalg::knn on the same arguments (same
+  // kernel, cached norms).
   const linalg::Knn nn = nn_.knn(nn_.ref(), cfg_.k, /*exclude_self=*/true);
   ref_kdist_.resize(n);
   for (std::size_t i = 0; i < n; ++i) ref_kdist_[i] = nn.distances[i].back();

@@ -12,10 +12,6 @@ namespace cnd::ml {
 
 struct LofConfig {
   std::size_t k = 20;  ///< neighbourhood size (MinPts).
-  /// Neighbor-query knob: nprobe = 0 (default) is exact brute force,
-  /// bit-identical to the pre-ANN path; nprobe > 0 routes fit-time and
-  /// score-time kNN through an IVF index over the reference set.
-  linalg::AnnConfig ann{};
 };
 
 class Lof {
@@ -36,8 +32,7 @@ class Lof {
                 const std::vector<std::size_t>& idx) const;
 
   LofConfig cfg_;
-  /// Owns the reference matrix, its cached row norms (score() used to
-  /// recompute them on every call), and the optional IVF index.
+  /// Owns the reference matrix and its cached row norms (exact mode).
   linalg::NeighborProvider nn_;
   std::vector<double> ref_kdist_;  ///< k-distance of each reference point.
   std::vector<double> ref_lrd_;    ///< local reachability density of refs.

@@ -9,13 +9,19 @@
 
 namespace cnd::ml {
 
+namespace {
+
+constexpr double kReg = 1e-6;  ///< eigenvalue floor relative to the largest.
+
+}  // namespace
+
 void MahalanobisDetector::fit(const Matrix& x) {
   require(x.rows() >= 2, "MahalanobisDetector::fit: need at least 2 rows");
   mean_ = col_mean(x);
   const Matrix cov = linalg::covariance(x);
   const linalg::EigenResult eig = linalg::eigen_symmetric(cov);
 
-  const double floor = std::max(eig.values.front(), 1.0) * cfg_.reg;
+  const double floor = std::max(eig.values.front(), 1.0) * kReg;
   // whitener = V diag(lambda^-1/2) V^T; distance = ||W (x - mu)||^2.
   Matrix vs = eig.vectors;  // n x n, columns scaled by lambda^-1/2
   for (std::size_t j = 0; j < vs.cols(); ++j) {

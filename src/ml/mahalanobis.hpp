@@ -13,14 +13,8 @@
 
 namespace cnd::ml {
 
-struct MahalanobisConfig {
-  double reg = 1e-6;  ///< eigenvalue floor relative to the largest.
-};
-
 class MahalanobisDetector {
  public:
-  explicit MahalanobisDetector(const MahalanobisConfig& cfg = {}) : cfg_(cfg) {}
-
   void fit(const Matrix& x);
 
   /// Squared Mahalanobis distance per row; higher = more anomalous.
@@ -29,7 +23,6 @@ class MahalanobisDetector {
   bool fitted() const { return !mean_.empty(); }
 
  private:
-  MahalanobisConfig cfg_;
   std::vector<double> mean_;
   Matrix whitener_;  ///< d x d: V diag(1/sqrt(lambda)) V^T.
 };

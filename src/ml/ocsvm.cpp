@@ -11,6 +11,13 @@
 
 namespace cnd::ml {
 
+namespace {
+
+constexpr std::size_t kMaxIters = 20000;  ///< pairwise SMO updates.
+constexpr double kTol = 1e-5;             ///< KKT violation tolerance.
+
+}  // namespace
+
 double OcSvm::kernel(std::span<const double> a, std::span<const double> b) const {
   return std::exp(-gamma_ * sq_dist(a, b));
 }
@@ -31,17 +38,13 @@ void OcSvm::fit(const Matrix& x_full) {
   }
   const std::size_t n = x.rows();
 
-  if (cfg_.gamma > 0.0) {
-    gamma_ = cfg_.gamma;
-  } else {
-    // sklearn "scale": 1 / (d * Var[all features]).
-    double var = 0.0;
-    auto mu = col_mean(x);
-    auto sd = col_stddev(x, mu);
-    for (double s : sd) var += s * s;
-    var /= static_cast<double>(x.cols());
-    gamma_ = 1.0 / (static_cast<double>(x.cols()) * std::max(var, 1e-12));
-  }
+  // sklearn "scale": 1 / (d * Var[all features]).
+  double var = 0.0;
+  auto mu = col_mean(x);
+  auto sd = col_stddev(x, mu);
+  for (double s : sd) var += s * s;
+  var /= static_cast<double>(x.cols());
+  gamma_ = 1.0 / (static_cast<double>(x.cols()) * std::max(var, 1e-12));
 
   // Dense kernel matrix. Row i fills (i, j>=i) and mirrors into (j, i);
   // every element is written by exactly one task, so rows parallelize.
@@ -71,7 +74,7 @@ void OcSvm::fit(const Matrix& x_full) {
     g[i] = s;
   }
 
-  for (std::size_t iter = 0; iter < cfg_.max_iters; ++iter) {
+  for (std::size_t iter = 0; iter < kMaxIters; ++iter) {
     // Most-violating pair: move mass from the highest-gradient point that
     // can still give (alpha > 0) to the lowest-gradient point that can
     // still receive (alpha < C).
@@ -88,7 +91,7 @@ void OcSvm::fit(const Matrix& x_full) {
         j_dn = t;
       }
     }
-    if (i_up == n || j_dn == n || g_max - g_min < cfg_.tol) break;
+    if (i_up == n || j_dn == n || g_max - g_min < kTol) break;
 
     const double eta = std::max(k(i_up, i_up) + k(j_dn, j_dn) - 2.0 * k(i_up, j_dn), 1e-12);
     // Transfer delta from i_up to j_dn.

@@ -12,10 +12,7 @@
 namespace cnd::ml {
 
 struct OcSvmConfig {
-  double nu = 0.1;        ///< fraction bound on outliers / support vectors.
-  double gamma = 0.0;     ///< RBF width; 0 = auto "scale" (1 / (d * var)).
-  std::size_t max_iters = 20000;  ///< pairwise SMO updates.
-  double tol = 1e-5;      ///< KKT violation tolerance.
+  double nu = 0.05;       ///< fraction bound on outliers / support vectors.
   std::size_t max_train = 1500;   ///< subsample cap (kernel matrix is n^2).
 };
 
@@ -38,7 +35,7 @@ class OcSvm {
   double kernel(std::span<const double> a, std::span<const double> b) const;
 
   OcSvmConfig cfg_;
-  double gamma_ = 1.0;
+  double gamma_ = 1.0;  ///< RBF width, sklearn "scale": 1 / (d * var).
   double rho_ = 0.0;
   Matrix sv_;                  ///< support vectors (alpha > 0).
   std::vector<double> alpha_;  ///< matching dual coefficients.

@@ -33,9 +33,7 @@ void Pca::fit(const Matrix& x) {
   evr_.clear();
   std::size_t k = 0;
   double cum = 0.0;
-  const std::size_t cap = cfg_.max_components ? std::min(cfg_.max_components, x.cols())
-                                              : x.cols();
-  for (std::size_t i = 0; i < eig.values.size() && k < cap; ++i) {
+  for (std::size_t i = 0; i < eig.values.size(); ++i) {
     const double ratio = std::max(eig.values[i], 0.0) / total;
     evr_.push_back(ratio);
     cum += ratio;

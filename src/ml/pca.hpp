@@ -17,8 +17,6 @@ struct PcaConfig {
   /// Keep the smallest number of components whose cumulative explained
   /// variance ratio reaches this threshold.
   double explained_variance = 0.95;
-  /// Optional hard cap on components (0 = no cap).
-  std::size_t max_components = 0;
 };
 
 class Pca {

@@ -1,7 +1,5 @@
 #include "ml/scaler.hpp"
 
-#include <algorithm>
-
 #include "tensor/assert.hpp"
 
 namespace cnd::ml {
@@ -25,38 +23,6 @@ Matrix StandardScaler::transform(const Matrix& x) const {
 }
 
 Matrix StandardScaler::fit_transform(const Matrix& x) {
-  fit(x);
-  return transform(x);
-}
-
-void MinMaxScaler::fit(const Matrix& x) {
-  require(x.rows() > 0, "MinMaxScaler::fit: empty matrix");
-  min_.assign(x.cols(), 0.0);
-  range_.assign(x.cols(), 0.0);
-  for (std::size_t j = 0; j < x.cols(); ++j) {
-    double mn = x(0, j), mx = x(0, j);
-    for (std::size_t i = 1; i < x.rows(); ++i) {
-      mn = std::min(mn, x(i, j));
-      mx = std::max(mx, x(i, j));
-    }
-    min_[j] = mn;
-    range_[j] = mx - mn;
-  }
-}
-
-Matrix MinMaxScaler::transform(const Matrix& x) const {
-  require(fitted(), "MinMaxScaler::transform: not fitted");
-  require(x.cols() == min_.size(), "MinMaxScaler::transform: feature mismatch");
-  Matrix out = x;
-  for (std::size_t i = 0; i < out.rows(); ++i) {
-    auto r = out.row(i);
-    for (std::size_t j = 0; j < out.cols(); ++j)
-      r[j] = range_[j] > 1e-12 ? (r[j] - min_[j]) / range_[j] : 0.0;
-  }
-  return out;
-}
-
-Matrix MinMaxScaler::fit_transform(const Matrix& x) {
   fit(x);
   return transform(x);
 }

@@ -26,17 +26,4 @@ class StandardScaler {
   std::vector<double> std_;
 };
 
-/// Min-max scaling to [0, 1] per column; constant columns map to 0.
-class MinMaxScaler {
- public:
-  void fit(const Matrix& x);
-  Matrix transform(const Matrix& x) const;
-  Matrix fit_transform(const Matrix& x);
-  bool fitted() const { return !min_.empty(); }
-
- private:
-  std::vector<double> min_;
-  std::vector<double> range_;
-};
-
 }  // namespace cnd::ml

@@ -54,7 +54,8 @@ void save_artifact(const std::string& path, const ServingArtifact& a) {
   if (!os.good())
     throw std::runtime_error("save_artifact: cannot open " + path);
   io::write_envelope(os, kTagArtifact, payload.str());
-  require(os.good(), "save_artifact: write failed for " + path);
+  os.close();  // the last buffered bytes are written here, so check after it
+  require(!os.fail(), "save_artifact: write failed for " + path);
 }
 
 ServingArtifact load_artifact(const std::string& path) {

@@ -176,10 +176,8 @@ FlowRecordWriter::FlowRecordWriter(const std::string& path, std::size_t dim)
   const std::uint32_t magic = kFlowMagic, version = kFlowVersion;
   const auto dim32 = static_cast<std::uint32_t>(dim);
   const std::uint64_t count = 0;  // patched by close()
-  std::fwrite(&magic, 4, 1, f_);
-  std::fwrite(&version, 4, 1, f_);
-  std::fwrite(&dim32, 4, 1, f_);
-  std::fwrite(&count, 8, 1, f_);
+  ok_ = std::fwrite(&magic, 4, 1, f_) == 1 && std::fwrite(&version, 4, 1, f_) == 1 &&
+        std::fwrite(&dim32, 4, 1, f_) == 1 && std::fwrite(&count, 8, 1, f_) == 1;
 }
 
 void FlowRecordWriter::append(const Matrix& rows) {
@@ -190,7 +188,8 @@ void FlowRecordWriter::append(const Matrix& rows) {
     auto r = rows.row(i);
     for (std::size_t j = 0; j < rows.cols(); ++j)
       buf[j] = static_cast<float>(r[j]);
-    std::fwrite(buf.data(), sizeof(float), buf.size(), f_);
+    if (std::fwrite(buf.data(), sizeof(float), buf.size(), f_) != buf.size())
+      ok_ = false;
   }
   rows_ += rows.rows();
 }
@@ -199,12 +198,11 @@ void FlowRecordWriter::close() {
   if (f_ == nullptr) return;
   // Patch the row count now that it is known.
   const auto count = static_cast<std::uint64_t>(rows_);
-  std::fseek(f_, 12, SEEK_SET);
-  std::fwrite(&count, 8, 1, f_);
-  const int rc = std::fclose(f_);
+  if (std::fseek(f_, 12, SEEK_SET) != 0 || std::fwrite(&count, 8, 1, f_) != 1)
+    ok_ = false;
+  if (std::fclose(f_) != 0) ok_ = false;
   f_ = nullptr;
-  if (rc != 0)
-    throw std::runtime_error("FlowRecordWriter: close failed for " + path_);
+  if (!ok_) throw std::runtime_error("FlowRecordWriter: write failed for " + path_);
 }
 
 FlowRecordWriter::~FlowRecordWriter() {

@@ -55,8 +55,6 @@ class FlowRecordFile {
   bool open() const { return data_ != nullptr; }
   std::size_t rows() const { return rows_; }
   std::size_t dim() const { return dim_; }
-  /// True when the payload is a live mmap (false: owned-buffer fallback).
-  bool mapped() const { return mapped_; }
 
   /// Zero-copy view of one flow (length dim()).
   std::span<const float> row(std::size_t i) const;
@@ -95,7 +93,9 @@ class FlowRecordWriter {
 
   std::size_t rows_written() const { return rows_; }
 
-  /// Flush, patch the header's count, and close. Idempotent.
+  /// Flush, patch the header's count, and close. Idempotent. Throws
+  /// std::runtime_error naming the path when any write, the seek or the
+  /// close failed (a full disk, say).
   void close();
 
  private:
@@ -103,6 +103,7 @@ class FlowRecordWriter {
   std::string path_;
   std::size_t dim_ = 0;
   std::size_t rows_ = 0;
+  bool ok_ = true;  ///< false once a write or seek has failed.
 };
 
 }  // namespace cnd::serve

@@ -5,7 +5,7 @@
 // byte-identical to brute-force linalg::knn, and the exact kNN and LOF
 // detectors to scoring written out by hand over it; ANN mode (nprobe > 0)
 // is approximate but bit-identical at any thread count, build and search,
-// detectors included; and the scratch-driven probe loop allocates nothing
+// the kNN detector included; and the scratch-driven probe loop allocates nothing
 // once warm. Edge cases — empty clusters after compaction, k larger than
 // any single cluster — are pinned explicitly.
 #include "linalg/ivf_index.hpp"
@@ -18,11 +18,9 @@
 #include <cstring>
 #include <new>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 #include "linalg/distance.hpp"
-#include "ml/kmeans.hpp"
 #include "ml/knn_detector.hpp"
 #include "ml/lof.hpp"
 #include "runtime/thread_pool.hpp"
@@ -257,14 +255,9 @@ TEST(Ann, DetectorsScoreIdenticallyAcrossThreads) {
     ThreadsGuard guard(lanes);
     ml::KnnDetector knn({.k = 10, .ann = {.nprobe = 3, .clusters = 32}});
     knn.fit(ref);
-    ml::Lof lof({.k = 20, .ann = {.nprobe = 6, .clusters = 32}});
-    lof.fit(ref);
-    return std::pair{knn.score(query), lof.score(query)};
+    return knn.score(query);
   };
-  const auto [knn1, lof1] = scores_at(1);
-  const auto [knn4, lof4] = scores_at(4);
-  EXPECT_TRUE(scores_identical(knn1, knn4)) << "kNN detector, nprobe 3";
-  EXPECT_TRUE(scores_identical(lof1, lof4)) << "LOF, nprobe 6";
+  EXPECT_TRUE(scores_identical(scores_at(1), scores_at(4))) << "kNN detector, nprobe 3";
 }
 
 // ---- Edge cases ------------------------------------------------------------
@@ -336,7 +329,7 @@ TEST(Ann, ScratchSearchIsAllocationFreeOnceWarm) {
       << "warm scratch-driven IVF search touched the heap";
 }
 
-// ---- Config validation and K-Means fast path -------------------------------
+// ---- Config validation -----------------------------------------------------
 
 TEST(Ann, ValidateRejectsBadConfig) {
   linalg::AnnConfig ok;  // nprobe = 0: exact, nothing else checked
@@ -344,19 +337,6 @@ TEST(Ann, ValidateRejectsBadConfig) {
   EXPECT_NO_THROW(ok.validate());
   linalg::AnnConfig bad{.nprobe = 2, .build_iters = 0};
   EXPECT_THROW(bad.validate(), std::invalid_argument);
-}
-
-TEST(Ann, KMeansAnnPredictMatchesExactWhenAllClustersProbed) {
-  const Matrix x = gaussian_clusters(500, 8, 6, 61);
-  ml::KMeans exact({.k = 6});
-  ml::KMeans ann({.k = 6, .ann = {.nprobe = 6}});
-  Rng r1(9), r2(9);
-  exact.fit(x, r1);  // identical RNG streams: fit is always exact, so the
-  ann.fit(x, r2);    // two models share centroids bit for bit
-  EXPECT_EQ(0, std::memcmp(exact.centroids().data(), ann.centroids().data(),
-                           exact.centroids().size() * sizeof(double)));
-  // Probing every centroid makes the IVF argmin total, hence exact.
-  EXPECT_EQ(exact.predict(x), ann.predict(x));
 }
 
 }  // namespace

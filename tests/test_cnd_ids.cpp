@@ -53,10 +53,12 @@ TEST(CndIds, NameReflectsAblationFlags) {
   c.cfe.use_cs = false;
   EXPECT_EQ(CndIds(c).name(), "CND-IDS (w/o L_CS)");
   c.cfe.use_cs = true;
-  c.cfe.use_r = false;
+  c.cfe.lambda_r = 0.0;
   EXPECT_EQ(CndIds(c).name(), "CND-IDS (w/o L_R)");
-  c.cfe.use_cl = false;
+  c.cfe.lambda_cl = 0.0;
   EXPECT_EQ(CndIds(c).name(), "CND-IDS (w/o L_R and L_CL)");
+  c.cfe.lambda_r = 0.1;
+  EXPECT_EQ(CndIds(c).name(), "CND-IDS (w/o L_CL)");
 }
 
 TEST(CndIds, LifecycleGuards) {

@@ -190,6 +190,34 @@ TEST(Csv, RoundTrip) {
   std::remove(path.c_str());
 }
 
+// /dev/full accepts the open and fails every write with ENOSPC, as a full
+// disk does; a writer must throw naming the path instead of returning.
+TEST(Csv, SaveFailsOnAFullDisk) {
+  if (!std::ofstream("/dev/full")) GTEST_SKIP() << "/dev/full is absent";
+  // Small enough to stay in the stream's buffer until the file is closed.
+  Dataset ds;
+  ds.x = Matrix{{1, 2}, {3, 4}};
+  ds.y = {0, 1};
+  ds.attack_class = {-1, 0};
+  ds.class_names = {"a"};
+  try {
+    save_csv(ds, "/dev/full");
+    ADD_FAILURE() << "save_csv returned on a full disk";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos) << e.what();
+  }
+}
+
+TEST(Csv, SaveTableFailsOnAFullDisk) {
+  if (!std::ofstream("/dev/full")) GTEST_SKIP() << "/dev/full is absent";
+  try {
+    save_table_csv("/dev/full", {"variant", "avg"}, {{0.5}}, {"CND-IDS"});
+    ADD_FAILURE() << "save_table_csv returned on a full disk";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos) << e.what();
+  }
+}
+
 TEST(Csv, LoadRejectsMissingFile) {
   EXPECT_THROW(load_csv("/tmp/does_not_exist_cnd.csv"), std::invalid_argument);
 }

@@ -144,18 +144,6 @@ TEST(KnnDetector, SeparatesPlantedOutliers) {
   EXPECT_GT(separation_auc([&](const Matrix& x) { return det.score(x); }, p), 0.99);
 }
 
-TEST(KnnDetector, KthOnlyGreaterEqualMean) {
-  Rng rng(9);
-  Planted p = make_planted(rng);
-  KnnDetector mean_det({.k = 10, .use_kth_only = false});
-  KnnDetector kth_det({.k = 10, .use_kth_only = true});
-  mean_det.fit(p.train);
-  kth_det.fit(p.train);
-  const auto sm = mean_det.score(p.inliers);
-  const auto sk = kth_det.score(p.inliers);
-  for (std::size_t i = 0; i < sm.size(); ++i) EXPECT_GE(sk[i], sm[i]);
-}
-
 TEST(KnnDetector, RejectsTooSmallReference) {
   KnnDetector det({.k = 10});
   EXPECT_THROW(det.fit(Matrix(5, 2)), std::invalid_argument);
@@ -166,7 +154,7 @@ TEST(KnnDetector, RejectsTooSmallReference) {
 TEST(Hbos, SeparatesPlantedOutliers) {
   Rng rng(12);
   Planted p = make_planted(rng);
-  Hbos det({.n_bins = 15});
+  Hbos det;
   det.fit(p.train);
   EXPECT_GT(separation_auc([&](const Matrix& x) { return det.score(x); }, p), 0.95);
 }

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/detector_factory.hpp"
@@ -73,7 +74,8 @@ struct Trained {
   Matrix test;
 };
 
-Trained train(const std::string& name) {
+Trained train(const std::string& name,
+              const core::DetectorConfig& cfg = small_config()) {
   Rng rng(2024);
   const Matrix n_clean = draw(rng, 64, 0);
   const Matrix seed_x = draw(rng, 16, 2);
@@ -81,7 +83,7 @@ Trained train(const std::string& name) {
   for (std::size_t i = 0; i < seed_y.size(); ++i) seed_y[i] = i % 2 == 0 ? 1 : 0;
   const Matrix stream1 = draw(rng, 160, 8);
   const Matrix stream2 = draw(rng, 160, 8, 1.5);
-  Trained t{core::make_detector(name, small_config()), draw(rng, 256, 4)};
+  Trained t{core::make_detector(name, cfg), draw(rng, 256, 4)};
   t.det->setup(core::SetupContext{n_clean, seed_x, seed_y});
   t.det->observe_experience(stream1);
   t.det->observe_experience(stream2);
@@ -93,12 +95,37 @@ std::uint64_t score_hash(const std::string& name) {
   return hash_of(t.det->score(t.test));
 }
 
+/// CND-IDS with the given loss weights; returns the detector's name and the
+/// hash of its scores.
+std::pair<std::string, std::uint64_t> cnd_ids_hash(double lambda_r, double lambda_cl) {
+  core::DetectorConfig c = small_config();
+  c.cnd.cfe.lambda_r = lambda_r;
+  c.cnd.cfe.lambda_cl = lambda_cl;
+  Trained t = train("CND-IDS", c);
+  return {t.det->name(), hash_of(t.det->score(t.test))};
+}
+
 std::uint64_t predict_hash(const std::string& name) {
   Trained t = train(name);
   return hash_of(t.det->predict(t.test));
 }
 
 TEST(NnGolden, CndIds) { EXPECT_EQ(score_hash("CND-IDS"), 0xadf13064d9751e14ull); }
+
+// Table III removes a loss by zeroing its weight, and the detector's name
+// follows the weights. A zero weight skips its loss term outright, so these
+// are the scores of CND-IDS trained without L_R, and without L_R and L_CL.
+TEST(NnGolden, CndIdsWithoutLr) {
+  const auto [name, hash] = cnd_ids_hash(0.0, 0.1);
+  EXPECT_EQ(name, "CND-IDS (w/o L_R)");
+  EXPECT_EQ(hash, 0xf428a6c167af3672ull);
+}
+
+TEST(NnGolden, CndIdsWithoutLrAndLcl) {
+  const auto [name, hash] = cnd_ids_hash(0.0, 0.0);
+  EXPECT_EQ(name, "CND-IDS (w/o L_R and L_CL)");
+  EXPECT_EQ(hash, 0xed944356ca258eebull);
+}
 
 // The shifted second stream trips the drift gate, so Adaptive refits and
 // scores exactly as CND-IDS does.

@@ -97,14 +97,6 @@ TEST(Pca, ExplainedVarianceThresholdControlsComponents) {
   EXPECT_LE(loose.n_components(), strict.n_components());
 }
 
-TEST(Pca, MaxComponentsCap) {
-  Rng rng(7);
-  Matrix x = planar_data(100, 8, rng, 1.0);
-  Pca pca({.explained_variance = 1.0, .max_components = 3});
-  pca.fit(x);
-  EXPECT_LE(pca.n_components(), 3u);
-}
-
 TEST(Pca, RejectsBadInputs) {
   Pca pca;
   EXPECT_THROW(pca.fit(Matrix(1, 3)), std::invalid_argument);

@@ -53,23 +53,5 @@ TEST(StandardScaler, RejectsMisuse) {
   EXPECT_THROW(s.transform(Matrix(1, 3)), std::invalid_argument);
 }
 
-TEST(MinMaxScaler, MapsToUnitInterval) {
-  Matrix x{{0, -5}, {10, 5}, {5, 0}};
-  MinMaxScaler s;
-  Matrix z = s.fit_transform(x);
-  EXPECT_DOUBLE_EQ(z(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(z(1, 0), 1.0);
-  EXPECT_DOUBLE_EQ(z(2, 0), 0.5);
-  EXPECT_DOUBLE_EQ(z(0, 1), 0.0);
-  EXPECT_DOUBLE_EQ(z(1, 1), 1.0);
-}
-
-TEST(MinMaxScaler, ConstantColumnMapsToZero) {
-  Matrix x(5, 1, 3.0);
-  MinMaxScaler s;
-  Matrix z = s.fit_transform(x);
-  for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(z(i, 0), 0.0);
-}
-
 }  // namespace
 }  // namespace cnd::ml

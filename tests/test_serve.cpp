@@ -124,6 +124,21 @@ TEST(FlowRecord, WriterRejectsMismatchedWidth) {
   std::remove("test_flow_w.bin");
 }
 
+// /dev/full accepts the open and fails every write with ENOSPC, as a full
+// disk does; a writer must throw naming the path instead of returning.
+TEST(FlowRecord, WriterFailsOnAFullDisk) {
+  if (!std::ofstream("/dev/full")) GTEST_SKIP() << "/dev/full is absent";
+  serve::FlowRecordWriter w("/dev/full", 4);
+  Rng rng(3);
+  w.append(gaussian(rng, 8, 4));
+  try {
+    w.close();
+    ADD_FAILURE() << "FlowRecordWriter::close returned on a full disk";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos) << e.what();
+  }
+}
+
 // ---- RingBuffer -------------------------------------------------------------
 
 TEST(RingBuffer, RejectsWhenFullNeverBlocks) {
@@ -281,6 +296,18 @@ TEST(Snapshot, ArtifactFileRoundTrip) {
   expect_bits_equal(det->score(x_test),
                     serve::restore_replica(loaded, tiny_cfg())->score(x_test));
   std::remove(path.c_str());
+}
+
+TEST(Snapshot, SaveArtifactFailsOnAFullDisk) {
+  if (!std::ofstream("/dev/full")) GTEST_SKIP() << "/dev/full is absent";
+  const serve::ServingArtifact a{.version = 1, .detector = "CND-IDS",
+                                 .threshold = 0.5, .model_bytes = "model"};
+  try {
+    serve::save_artifact("/dev/full", a);
+    ADD_FAILURE() << "save_artifact returned on a full disk";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Snapshot, LoadArtifactRejectsAFlippedThresholdByte) {

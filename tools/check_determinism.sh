@@ -19,8 +19,7 @@
 #              and at 2 shards with a 1-lane vs 4-lane thread pool.
 #   static     cnd_analyze's determinism-taint rule proves that no output
 #              root reaches a nondeterminism source. Skipped, with a note,
-#              when the analyzer binary or compile_commands.json is not in
-#              BUILD_DIR.
+#              when the analyzer binary is not in BUILD_DIR.
 #
 # Environment:
 #   BUILD_DIR       Release build directory (default: build)
@@ -246,12 +245,11 @@ fi
 # (custom BUILD_DIR without the tools targets) working.
 ROOT_DIR=$(cd "$(dirname "$0")/.." && pwd)
 ANALYZE="${BUILD_DIR}/tools/cnd_analyze"
-CDB="${BUILD_DIR}/compile_commands.json"
-if [ ! -x "${ANALYZE}" ] || [ ! -f "${CDB}" ]; then
-  echo "SKIP static determinism-taint scan ('${ANALYZE}' or '${CDB}' missing)"
+if [ ! -x "${ANALYZE}" ]; then
+  echo "SKIP static determinism-taint scan ('${ANALYZE}' missing)"
 else
   echo "== cnd_analyze --rule=determinism-taint --json"
-  summary=$("${ANALYZE}" --compile-commands "${CDB}" --root "${ROOT_DIR}" \
+  summary=$("${ANALYZE}" --root "${ROOT_DIR}" \
       --rule=determinism-taint --json 2> /dev/null | tail -1) || true
   case "${summary}" in
     *'"findings":0,'*)

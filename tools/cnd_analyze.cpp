@@ -2,8 +2,7 @@
 // layering, and serving contracts (docs/STATIC_ANALYSIS.md).
 //
 // It tokenizes every source file under src/, tests/, bench/, tools/, and
-// examples/ (plus any other compile_commands.json translation unit inside
-// the root) with its own lexer — no libclang — and runs two kinds of rule.
+// examples/ with its own lexer — no libclang — and runs two kinds of rule.
 //
 // Call-graph rules. Function definitions in src/ are extracted with
 // qualified names by a pragmatic C++ heuristic parser, call sites are linked
@@ -68,7 +67,7 @@
 // usage/IO error. `--help` lists the rules.
 //
 // Usage:
-//   cnd_analyze --compile-commands build/compile_commands.json --root .
+//   cnd_analyze --root .
 //   cnd_analyze --selftest tools/analyze_selftest
 #include <algorithm>
 #include <cstddef>
@@ -2162,36 +2161,6 @@ bool write_sarif(const fs::path& path, const std::vector<Finding>& findings) {
   return os.good();
 }
 
-/// Pull every `"file": "…"` value out of compile_commands.json. The format
-/// is machine-generated and flat, so a targeted scan beats a JSON library.
-std::vector<std::string> compile_command_files(const std::string& json) {
-  std::vector<std::string> out;
-  const std::string key = "\"file\"";
-  std::size_t pos = 0;
-  while ((pos = json.find(key, pos)) != std::string::npos) {
-    pos += key.size();
-    while (pos < json.size() &&
-           (json[pos] == ' ' || json[pos] == ':' || json[pos] == '\t'))
-      ++pos;
-    if (pos >= json.size() || json[pos] != '"') continue;
-    ++pos;
-    std::string val;
-    while (pos < json.size() && json[pos] != '"') {
-      if (json[pos] == '\\' && pos + 1 < json.size()) ++pos;
-      val += json[pos++];
-    }
-    out.push_back(val);
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-bool skip_vpath(const std::string& vpath) {
-  return vpath.find("analyze_selftest") != std::string::npos ||
-         vpath.rfind("build/", 0) == 0;
-}
-
 struct TreeOptions {
   bool list_hot = false;
   bool json_summary = false;
@@ -2199,27 +2168,13 @@ struct TreeOptions {
   std::string sarif_path;  // empty = no SARIF output
 };
 
-int run_tree(const fs::path& compile_commands, const fs::path& root,
-             const TreeOptions& opt) {
-  std::string json;
-  if (!read_file(compile_commands, json)) {
-    std::fprintf(stderr, "cnd_analyze: cannot read %s\n",
-                 compile_commands.string().c_str());
-    return 2;
-  }
+int run_tree(const fs::path& root, const TreeOptions& opt) {
   const fs::path root_abs = fs::weakly_canonical(root);
 
-  std::set<std::string> vpaths;  // repo-relative, deduped
-  for (const std::string& f : compile_command_files(json)) {
-    const fs::path p = fs::weakly_canonical(f);
-    const fs::path rel = p.lexically_relative(root_abs);
-    if (rel.empty() || rel.begin()->string() == "..") continue;
-    const std::string vpath = rel.generic_string();
-    if (!skip_vpath(vpath)) vpaths.insert(vpath);
-  }
   // Every source file under the first-party directories: headers (inline
   // hot-path code) and sources outside any build target alike, so the
   // tree-wide bans see the whole tree.
+  std::set<std::string> vpaths;  // repo-relative, deduped
   for (const char* dir : {"src", "tests", "bench", "tools", "examples"}) {
     const fs::path base = root_abs / dir;
     if (!fs::exists(base)) continue;
@@ -2227,7 +2182,8 @@ int run_tree(const fs::path& compile_commands, const fs::path& root,
       if (!e.is_regular_file() || !is_source(e.path())) continue;
       const std::string vpath =
           e.path().lexically_relative(root_abs).generic_string();
-      if (!skip_vpath(vpath)) vpaths.insert(vpath);
+      if (vpath.find("analyze_selftest") == std::string::npos)
+        vpaths.insert(vpath);
     }
   }
   if (vpaths.empty()) {
@@ -2414,7 +2370,7 @@ void usage() {
   std::fprintf(
       stderr,
       "usage:\n"
-      "  cnd_analyze --compile-commands <json> --root <repo-root>\n"
+      "  cnd_analyze --root <repo-root>\n"
       "              [--rule=<name>] [--sarif <file>] [--json] [--list-hot]\n"
       "  cnd_analyze --selftest <fixture-dir> [--sarif <file>]\n"
       "(--help for the rule list and exit codes)\n");
@@ -2425,15 +2381,13 @@ void help() {
       "cnd_analyze — the static checker for the cnd tree's contracts.\n"
       "\n"
       "usage:\n"
-      "  cnd_analyze --compile-commands <json> --root <repo-root>\n"
+      "  cnd_analyze --root <repo-root>\n"
       "              [--rule=<name>] [--sarif <file>] [--json] [--list-hot]\n"
       "  cnd_analyze --selftest <fixture-dir> [--sarif <file>]\n"
       "\n"
       "options:\n"
-      "  --compile-commands <json>  compile_commands.json; its TUs join every\n"
-      "                             source file under src/ tests/ bench/\n"
-      "                             tools/ examples/\n"
-      "  --root <dir>               repo root for repo-relative paths\n"
+      "  --root <dir>               scan every source file under src/ tests/\n"
+      "                             bench/ tools/ examples/ of this repo root\n"
       "  --rule=<name>              run a single rule (tree scan only)\n"
       "  --sarif <file>             also write findings as SARIF 2.1.0\n"
       "  --json                     append a one-line JSON summary\n"
@@ -2459,21 +2413,14 @@ void help() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string compile_commands, root = ".", selftest;
+  std::string root, selftest;
   TreeOptions opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    if (arg == "--compile-commands") {
-      const char* v = next();
-      if (!v) {
-        usage();
-        return 2;
-      }
-      compile_commands = v;
-    } else if (arg == "--root") {
+    if (arg == "--root") {
       const char* v = next();
       if (!v) {
         usage();
@@ -2524,9 +2471,9 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (!selftest.empty()) return run_selftest(selftest, opt.sarif_path);
-  if (compile_commands.empty()) {
+  if (root.empty()) {
     usage();
     return 2;
   }
-  return run_tree(compile_commands, root, opt);
+  return run_tree(root, opt);
 }

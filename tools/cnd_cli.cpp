@@ -158,13 +158,10 @@ int usage() {
                "  gen       --dataset=x_iiotid|wustl_iiot|cicids2017|unsw_nb15 "
                "--out=FILE [--scale=0.25] [--seed=42]\n"
                "  run       --data=FILE [--detector=CND-IDS] [--experiences=5] "
-               "[--seed=7] [--epochs=8] [--ann-nprobe=N]\n"
+               "[--seed=7] [--epochs=8]\n"
                "            --detector takes any name from `cnd detectors`, "
                "e.g. Adaptive (drift-gated CND-IDS: refits only when "
                "Page-Hinkley signals drift)\n"
-               "            --ann-nprobe=N (N >= 1) probes N IVF clusters "
-               "instead of exact neighbor search (docs/ANN.md); only LOF, "
-               "kNN, CND-IDS, and Adaptive have a neighbor path\n"
                "  score     --train=FILE --test=FILE [--quantile=0.99] "
                "[--epochs=8]\n"
                "  pack      --data=FILE --out=FILE\n"
@@ -229,8 +226,7 @@ int cmd_gen(const Flags& f) {
 }
 
 int cmd_run(const Flags& f) {
-  require_known(f,
-                {"data", "detector", "experiences", "seed", "epochs", "ann-nprobe"});
+  require_known(f, {"data", "detector", "experiences", "seed", "epochs"});
   const std::string path = flag(f, "data", "");
   if (path.empty()) return usage();
   const auto m = static_cast<std::size_t>(uint_flag(f, "experiences", "5"));
@@ -245,24 +241,6 @@ int cmd_run(const Flags& f) {
   cfg.seed = seed;
   cfg.cnd.cfe.epochs = static_cast<std::size_t>(uint_flag(f, "epochs", "8"));
   cfg.cnd.seed = seed;
-  const auto nprobe = static_cast<std::size_t>(uint_flag(f, "ann-nprobe", "0"));
-  if (f.count("ann-nprobe") != 0) {
-    if (nprobe == 0) {
-      std::fprintf(stderr,
-                   "run: --ann-nprobe must be >= 1 (omit the flag for exact "
-                   "neighbor search)\n");
-      return 2;
-    }
-    cfg.lof.ann.nprobe = nprobe;
-    cfg.knn.ann.nprobe = nprobe;
-    cfg.cnd.cfe.ann.nprobe = nprobe;
-    if (detector != "LOF" && detector != "kNN" && detector != "CND-IDS" &&
-        detector != "Adaptive")
-      std::fprintf(stderr,
-                   "run: warning: --ann-nprobe has no effect on '%s' — only "
-                   "LOF, kNN, CND-IDS, and Adaptive run neighbor queries\n",
-                   detector.c_str());
-  }
   const core::RunResult res =
       core::run_detector(detector, cfg, es, {.seed = seed, .verbose = true});
 

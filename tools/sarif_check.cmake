@@ -6,7 +6,7 @@
 #   ANALYZE_BIN  path to the cnd_analyze binary
 #   PYTHON       python3 interpreter
 #   SRC_DIR      repository root
-#   BIN_DIR      build directory (compile_commands.json lives here)
+#   BIN_DIR      build directory (the SARIF files are written under it)
 #   MODE         "selftest" — fixture-corpus report, results required
 #                "tree"     — real-tree report (clean => empty results),
 #                             plus --rule/--json single-rule smoke
@@ -31,13 +31,11 @@ if(MODE STREQUAL "selftest")
       --sarif ${work}/analyze.sarif)
   run(${check} ${work}/analyze.sarif --require-results)
 elseif(MODE STREQUAL "tree")
-  run(${ANALYZE_BIN} --compile-commands ${BIN_DIR}/compile_commands.json
-      --root ${SRC_DIR} --sarif ${work}/analyze.sarif)
+  run(${ANALYZE_BIN} --root ${SRC_DIR} --sarif ${work}/analyze.sarif)
   run(${check} ${work}/analyze.sarif)
   # Single-rule + machine-readable summary, the form check_determinism.sh
   # consumes.
-  run(${ANALYZE_BIN} --compile-commands ${BIN_DIR}/compile_commands.json
-      --root ${SRC_DIR} --rule=determinism-taint --json)
+  run(${ANALYZE_BIN} --root ${SRC_DIR} --rule=determinism-taint --json)
 else()
   message(FATAL_ERROR "sarif_check: unknown MODE '${MODE}'")
 endif()
